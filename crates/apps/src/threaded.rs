@@ -40,17 +40,11 @@ impl ThreadedFactor {
         for p in 0..panels.len() {
             let r = panels.range(p);
             let lo = sym.col_ptr()[r.start];
-            let hi = sym.col_ptr()[r.end];
             base.push(lo);
             // Extract this panel's slice from the dense-initialised factor.
-            let mut v = Vec::with_capacity(hi - lo);
-            for j in r.clone() {
-                let cr = sym.col_range(j);
-                for (off, &i) in sym.col_rows(j).iter().enumerate() {
-                    let _ = off;
-                    v.push(full.get(i, j));
-                    let _ = cr;
-                }
+            let mut v = Vec::with_capacity(sym.col_ptr()[r.end] - lo);
+            for j in r {
+                v.extend(sym.col_rows(j).iter().map(|&i| full.get(i, j)));
             }
             values.push(RwLock::new(v));
         }
@@ -189,7 +183,7 @@ pub fn panel_cholesky_rt_with_faults(
     let e = EliminationTree::new(matrix);
     let sym = Arc::new(SymbolicFactor::new(matrix, &e));
     let panels = PanelPartition::fundamental(&sym, max_panel_width);
-    let deps = Arc::new(PanelDeps::new(&sym, &panels));
+    let deps = PanelDeps::new(&sym, &panels);
     let np = panels.len();
 
     let cfg = RtConfig::new(threads);
@@ -197,31 +191,22 @@ pub fn panel_cholesky_rt_with_faults(
         Some(plan) => Runtime::with_faults(cfg, plan),
         None => Runtime::new(cfg),
     };
-    // migrate(panel + p, p): place the panels round-robin.
-    let panel_objs: Arc<Vec<ObjRef>> = Arc::new(
-        (0..np)
+    let shared = Arc::new(Shared {
+        factor: ThreadedFactor::init(matrix, sym.clone(), panels),
+        pending: (0..np).map(|q| AtomicUsize::new(deps.pending(q))).collect(),
+        // migrate(panel + p, p): place the panels round-robin.
+        objs: (0..np)
             .map(|p| rt.placement().alloc_on(ProcId(p % threads)))
             .collect(),
-    );
-    let factor = Arc::new(ThreadedFactor::init(matrix, sym.clone(), panels.clone()));
-    let pending: Arc<Vec<AtomicUsize>> = Arc::new(
-        (0..np)
-            .map(|q| AtomicUsize::new(deps.pending(q)))
-            .collect(),
-    );
+        deps,
+    });
 
     let t0 = std::time::Instant::now();
-    {
-        let factor = factor.clone();
-        let deps = deps.clone();
-        let pending = pending.clone();
-        let panel_objs = panel_objs.clone();
-        rt.scope(move |s| {
-            for p in deps.initially_ready() {
-                spawn_complete(s, p, &factor, &deps, &pending, &panel_objs);
-            }
-        })?;
-    }
+    rt.scope(|s| {
+        for p in shared.deps.initially_ready() {
+            spawn_complete(s, p, &shared);
+        }
+    })?;
     let wall = t0.elapsed();
 
     // Verify.
@@ -230,7 +215,7 @@ pub fn panel_cholesky_rt_with_faults(
     let mut max_error = 0.0f64;
     for j in 0..matrix.n() {
         for &i in sym.col_rows(j) {
-            max_error = max_error.max((factor.get(i, j) - fref.get(i, j)).abs());
+            max_error = max_error.max((shared.factor.get(i, j) - fref.get(i, j)).abs());
         }
     }
     Ok(ThreadedPanelResult {
@@ -240,50 +225,40 @@ pub fn panel_cholesky_rt_with_faults(
     })
 }
 
-type Deps = Arc<PanelDeps>;
+/// Everything the tasks of one factorization share, behind one `Arc`: a
+/// spawn clones a single reference count.
+struct Shared {
+    factor: ThreadedFactor,
+    deps: PanelDeps,
+    /// Updates each panel still awaits.
+    pending: Vec<AtomicUsize>,
+    /// Each panel's placement object.
+    objs: Vec<ObjRef>,
+}
 
-fn spawn_complete(
-    ctx: &RtCtx<'_>,
-    p: usize,
-    factor: &Arc<ThreadedFactor>,
-    deps: &Deps,
-    pending: &Arc<Vec<AtomicUsize>>,
-    objs: &Arc<Vec<ObjRef>>,
-) {
-    let (factor, deps, pending, objs) =
-        (factor.clone(), deps.clone(), pending.clone(), objs.clone());
-    let obj = objs[p];
+fn spawn_complete(ctx: &RtCtx<'_>, p: usize, shared: &Arc<Shared>) {
+    let sh = Arc::clone(shared);
+    let obj = sh.objs[p];
     ctx.spawn(
         RtTask::new(move |c| {
-            factor.panel_internal_factor(p);
-            let targets: Vec<usize> = deps.updates_to(p).to_vec();
-            for q in targets {
-                spawn_update(c, q, p, &factor, &deps, &pending, &objs);
+            sh.factor.panel_internal_factor(p);
+            for &q in sh.deps.updates_to(p) {
+                spawn_update(c, q, p, &sh);
             }
         })
         .with_affinity(AffinitySpec::simple(obj)),
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_update(
-    ctx: &RtCtx<'_>,
-    q: usize,
-    p: usize,
-    factor: &Arc<ThreadedFactor>,
-    deps: &Deps,
-    pending: &Arc<Vec<AtomicUsize>>,
-    objs: &Arc<Vec<ObjRef>>,
-) {
-    let (factor, deps, pending, objs) =
-        (factor.clone(), deps.clone(), pending.clone(), objs.clone());
-    let dst_obj = objs[q];
+fn spawn_update(ctx: &RtCtx<'_>, q: usize, p: usize, shared: &Arc<Shared>) {
+    let sh = Arc::clone(shared);
+    let dst_obj = sh.objs[q];
     ctx.spawn(
         RtTask::new(move |c| {
-            factor.panel_update(q, p);
-            if pending[q].fetch_sub(1, Ordering::AcqRel) == 1 {
+            sh.factor.panel_update(q, p);
+            if sh.pending[q].fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last update: the panel is ready (Figure 13).
-                spawn_complete(c, q, &factor, &deps, &pending, &objs);
+                spawn_complete(c, q, &sh);
             }
         })
         .with_affinity(AffinitySpec::simple(dst_obj))

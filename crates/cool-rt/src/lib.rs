@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod faults;
+mod pad;
 pub mod placement;
 pub mod runtime;
 pub mod serve;

@@ -14,6 +14,17 @@
 //! Scopes that never finish are handled by the stall watchdog (see the
 //! [`watchdog`](crate::watchdog) module) and by
 //! [`Runtime::scope_with_timeout`].
+//!
+//! ## Sharing
+//!
+//! A task's trip through the runtime writes only two cache lines that
+//! another worker also touches: the target server's queue and its scope's
+//! completion counter (plus the `Arc`s and the task `Box` it carries, and
+//! the placement registry's read lock when its affinity names an object).
+//! Everything else a worker writes per task — statistics, the watchdog's
+//! liveness count, the in-flight uid — sits on its own server's padded
+//! lines, and the held-mutex set is sharded. DESIGN.md §5 ("Per-task sharing
+//! rule") gives the rule and the memory orderings it relies on.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -24,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use cool_core::affinity::hash_token;
 use cool_core::obs::{ObsEvent, ObsRecorder, ObsTrace};
 use cool_core::{
     AdaptiveConfig, AffinityKind, AffinitySpec, FaultPlan, ObjRef, PolicyFeedback, ProcId,
@@ -31,8 +43,13 @@ use cool_core::{
 };
 
 use crate::faults::FaultInjector;
+use crate::pad::CachePadded;
 use crate::placement::Placement;
 use crate::watchdog::StallDump;
+
+/// Shards of the held-mutex set: a power of two well above the worker
+/// count, so two workers' objects seldom share a shard's lock.
+const HELD_SHARDS: usize = 64;
 
 /// Consecutive failed mutex acquisitions on one server before it stops
 /// spin-requeueing and parks briefly instead.
@@ -185,7 +202,11 @@ struct Queued {
 
 /// Scope bookkeeping for `waitfor`.
 struct ScopeState {
-    remaining: Mutex<usize>,
+    /// Tasks spawned into the scope that have not finished.
+    remaining: AtomicUsize,
+    /// The waiter's sleep. Only the waiter and the `exit` that brings
+    /// `remaining` to zero take it; every other task touches the counter only.
+    lock: Mutex<()>,
     done: Condvar,
     /// Panics collected from tasks in this scope.
     failures: Mutex<Vec<TaskError>>,
@@ -194,22 +215,34 @@ struct ScopeState {
 impl ScopeState {
     fn new() -> Arc<Self> {
         Arc::new(ScopeState {
-            remaining: Mutex::new(0),
+            remaining: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             done: Condvar::new(),
             failures: Mutex::new(Vec::new()),
         })
     }
 
+    /// Relaxed: the spawner holds a ticket of its own (or is the seed, which
+    /// runs before anyone waits), so this increment never races a count that
+    /// a waiter could see reach zero.
     fn enter(&self) {
-        *self.remaining.lock() += 1;
+        self.remaining.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Release pairs with the waiter's Acquire load in [`Self::drained`]: a
+    /// waiter that sees zero also sees every finished task's writes,
+    /// including a failure recorded before the ticket dropped.
     fn exit(&self) {
-        let mut r = self.remaining.lock();
-        *r -= 1;
-        if *r == 0 {
+        if self.remaining.fetch_sub(1, Ordering::Release) == 1 {
+            // Holding the lock orders this notify after a waiter's
+            // check-then-wait, so the wake-up cannot fall between the two.
+            let _guard = self.lock.lock();
             self.done.notify_all();
         }
+    }
+
+    fn drained(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
     }
 
     fn record_failure(&self, err: TaskError) {
@@ -221,18 +254,18 @@ impl ScopeState {
     }
 
     fn wait(&self) {
-        let mut r = self.remaining.lock();
-        while *r > 0 {
-            self.done.wait(&mut r);
+        let mut guard = self.lock.lock();
+        while !self.drained() {
+            self.done.wait(&mut guard);
         }
     }
 
     /// Wait until the scope drains or `deadline` passes; true iff drained.
     fn wait_until(&self, deadline: Instant) -> bool {
-        let mut r = self.remaining.lock();
-        while *r > 0 {
-            if self.done.wait_until(&mut r, deadline).timed_out() {
-                return *r == 0;
+        let mut guard = self.lock.lock();
+        while !self.drained() {
+            if self.done.wait_until(&mut guard, deadline).timed_out() {
+                return self.drained();
             }
         }
         true
@@ -264,26 +297,124 @@ impl Drop for ScopeTicket {
     }
 }
 
-/// RAII ownership of one object's mutex in the global `held` set: released
-/// on drop, so a panicking mutex task cannot leak the lock and wedge every
-/// later task on the same object.
+/// The objects whose mutex is currently held, sharded by [`hash_token`] so
+/// tasks on different objects seldom write the same lock.
+struct HeldSet {
+    shards: [CachePadded<Mutex<HashSet<ObjRef>>>; HELD_SHARDS],
+}
+
+impl HeldSet {
+    fn new() -> Self {
+        HeldSet {
+            shards: std::array::from_fn(|_| CachePadded::default()),
+        }
+    }
+
+    /// Take `obj`'s mutex; false if another task holds it.
+    fn try_acquire(&self, obj: ObjRef) -> bool {
+        self.shards[held_shard(obj)].lock().insert(obj)
+    }
+
+    fn release(&self, obj: ObjRef) {
+        self.shards[held_shard(obj)].lock().remove(&obj);
+    }
+
+    /// Every held object, sorted.
+    fn snapshot(&self) -> Vec<ObjRef> {
+        let mut v = Vec::new();
+        for s in &self.shards {
+            v.extend(s.lock().iter().copied());
+        }
+        v.sort();
+        v
+    }
+}
+
+/// The held-set shard `obj` belongs to.
+fn held_shard(obj: ObjRef) -> usize {
+    hash_token(obj) % HELD_SHARDS
+}
+
+/// RAII ownership of one object's mutex in the held set: released on drop,
+/// so a panicking mutex task cannot leak the lock and wedge every later task
+/// on the same object.
 struct HeldGuard<'a> {
-    held: &'a Mutex<HashSet<ObjRef>>,
+    held: &'a HeldSet,
     obj: ObjRef,
 }
 
 impl Drop for HeldGuard<'_> {
     fn drop(&mut self) {
-        self.held.lock().remove(&self.obj);
+        self.held.release(self.obj);
     }
 }
 
-/// One server: its queues, sleep signal and statistics.
+/// One server, split by who writes it: `inbox` is written by every task
+/// spawned onto this server, `own` only by this server's worker. Each part
+/// sits on cache lines of its own.
 struct Server {
-    queues: Mutex<ServerQueues<Queued>>,
+    inbox: CachePadded<Inbox>,
+    own: CachePadded<Own>,
+}
+
+/// The part of a server that spawners write.
+struct Inbox {
+    queue: Mutex<Queue>,
+    /// The worker is parking. Stored (SeqCst) before the worker re-checks
+    /// its queue and loaded (SeqCst) by `enqueue` after its push, so either
+    /// the worker sees the task or the spawner sees the flag and wakes it.
+    sleeping: AtomicBool,
     sleep_lock: Mutex<()>,
     wake: Condvar,
+}
+
+/// A server's queue structure and what is counted under its lock.
+struct Queue {
+    tasks: ServerQueues<Queued>,
+    /// Tasks spawned onto this server (`SchedStats::spawned`), counted under
+    /// the lock the push already holds. It also numbers the server's task
+    /// uids.
+    spawned: u64,
+}
+
+/// The part of a server only its own worker writes.
+struct Own {
+    /// Every counter except `spawned`, which lives in [`Queue`].
     stats: Mutex<SchedStats>,
+    /// Tasks finished here: the watchdog sums these as its liveness signal.
+    /// Relaxed, like `executing`: neither publishes other data.
+    completed: AtomicU64,
+    /// Uid of the task executing here (`u64::MAX` when idle); read by
+    /// `dump()` so a stall names the bodies that are stuck, not just the
+    /// queue depths around them.
+    executing: AtomicU64,
+}
+
+impl Server {
+    fn new(affinity_slots: usize) -> Self {
+        Server {
+            inbox: CachePadded::new(Inbox {
+                queue: Mutex::new(Queue {
+                    tasks: ServerQueues::new(affinity_slots),
+                    spawned: 0,
+                }),
+                sleeping: AtomicBool::new(false),
+                sleep_lock: Mutex::new(()),
+                wake: Condvar::new(),
+            }),
+            own: CachePadded::new(Own {
+                stats: Mutex::new(SchedStats::default()),
+                completed: AtomicU64::new(0),
+                executing: AtomicU64::new(u64::MAX),
+            }),
+        }
+    }
+
+    fn stats(&self) -> SchedStats {
+        let mut st = *self.own.stats.lock();
+        st.spawned = self.inbox.queue.lock().spawned;
+        st
+    }
 }
 
 struct Inner {
@@ -296,19 +427,15 @@ struct Inner {
     /// Adaptation knobs each worker builds its private aggregator from.
     adaptive: Option<AdaptiveConfig>,
     placement: Placement,
-    /// Objects whose mutex is currently held.
-    held: Mutex<HashSet<ObjRef>>,
+    held: HeldSet,
     /// Fault injection, if this runtime was built with a plan.
     faults: Option<FaultInjector>,
-    /// Liveness counter for the watchdog: bumped on every task completion
-    /// and on scope open, so "unchanged for a while" means "stalled".
-    activity: AtomicU64,
+    /// Scopes opened since startup. With the servers' `completed` counts it
+    /// makes the watchdog's liveness signal, so "unchanged for a while"
+    /// means "stalled".
+    opened: AtomicU64,
     /// `waitfor` scopes currently open.
     open_scopes: AtomicUsize,
-    /// Uid of the task currently executing on each server (`u64::MAX` when
-    /// idle); read by `dump()` so a stall names the bodies that are stuck,
-    /// not just the queue depths around them.
-    executing: Vec<AtomicU64>,
     /// Diagnostic dumps produced by the watchdog thread.
     dumps: Mutex<Vec<StallDump>>,
     shutdown: AtomicBool,
@@ -316,9 +443,6 @@ struct Inner {
     obs: Option<ObsRecorder>,
     /// Epoch for observability timestamps (ns since runtime startup).
     epoch: Instant,
-    /// Next task identity for the observability trace; `TaskUid(0)` stays
-    /// reserved for the root context.
-    next_uid: AtomicU64,
 }
 
 impl Inner {
@@ -344,34 +468,41 @@ impl Inner {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// A fresh task identity for the observability trace.
-    fn fresh_uid(&self) -> TaskUid {
-        TaskUid(self.next_uid.fetch_add(1, Ordering::Relaxed))
-    }
-
     fn total_stats(&self) -> SchedStats {
         let mut total = SchedStats::default();
         for s in &self.servers {
-            total += *s.stats.lock();
+            total += s.stats();
         }
         total
     }
 
+    /// The watchdog's liveness signal: scopes opened plus tasks completed.
+    fn activity(&self) -> u64 {
+        let completed: u64 = self
+            .servers
+            .iter()
+            .map(|s| s.own.completed.load(Ordering::Relaxed))
+            .sum();
+        self.opened.load(Ordering::Relaxed) + completed
+    }
+
     /// Snapshot the state a stall post-mortem needs.
     fn dump(&self) -> StallDump {
-        let mut held: Vec<ObjRef> = self.held.lock().iter().copied().collect();
-        held.sort();
         let stats = self.total_stats();
         let mut in_flight: Vec<u64> = self
-            .executing
+            .servers
             .iter()
-            .map(|c| c.load(Ordering::SeqCst))
+            .map(|s| s.own.executing.load(Ordering::Relaxed))
             .filter(|&u| u != u64::MAX)
             .collect();
         in_flight.sort_unstable();
         StallDump {
-            queue_depths: self.servers.iter().map(|s| s.queues.lock().len()).collect(),
-            held_mutexes: held,
+            queue_depths: self
+                .servers
+                .iter()
+                .map(|s| s.inbox.queue.lock().tasks.len())
+                .collect(),
+            held_mutexes: self.held.snapshot(),
             tasks_executed: stats.executed,
             stats,
             open_scopes: self.open_scopes.load(Ordering::SeqCst),
@@ -432,7 +563,8 @@ pub struct RtCtx<'a> {
     /// Executing task's identity in the observability trace (`TaskUid(0)`
     /// for the scope seed).
     task: TaskUid,
-    scope: Arc<ScopeState>,
+    /// Borrowed from the task's ticket: only a spawn clones the `Arc`.
+    scope: &'a Arc<ScopeState>,
 }
 
 /// Decrements `open_scopes` when the scope call returns by any path.
@@ -469,30 +601,23 @@ impl Runtime {
         );
         let inner = Arc::new(Inner {
             servers: (0..cfg.nthreads)
-                .map(|_| Server {
-                    queues: Mutex::new(ServerQueues::new(cfg.affinity_slots)),
-                    sleep_lock: Mutex::new(()),
-                    wake: Condvar::new(),
-                    stats: Mutex::new(SchedStats::default()),
-                })
+                .map(|_| Server::new(cfg.affinity_slots))
                 .collect(),
             victims: topology.victim_orders(),
             topology,
             policy: cfg.policy,
             adaptive: cfg.adaptive,
             placement: Placement::new(),
-            held: Mutex::new(HashSet::new()),
+            held: HeldSet::new(),
             faults: plan.map(|p| FaultInjector::new(p, cfg.nthreads)),
-            activity: AtomicU64::new(0),
+            opened: AtomicU64::new(0),
             open_scopes: AtomicUsize::new(0),
-            executing: (0..cfg.nthreads).map(|_| AtomicU64::new(u64::MAX)).collect(),
             dumps: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             obs: cfg
                 .record_trace
                 .then(|| ObsRecorder::with_default_capacity(cfg.nthreads)),
             epoch: Instant::now(),
-            next_uid: AtomicU64::new(1),
         });
         let workers = (0..cfg.nthreads)
             .map(|p| {
@@ -556,14 +681,14 @@ impl Runtime {
         let scope = ScopeState::new();
         self.inner.open_scopes.fetch_add(1, Ordering::SeqCst);
         // Restart the watchdog's quiet-period clock for this scope.
-        self.inner.activity.fetch_add(1, Ordering::SeqCst);
+        self.inner.opened.fetch_add(1, Ordering::Relaxed);
         let _open = OpenScopeGuard(&self.inner);
         let seed_result = {
             let ctx = RtCtx {
                 inner: &self.inner,
                 proc: ProcId(0),
                 task: TaskUid(0),
-                scope: scope.clone(),
+                scope: &scope,
             };
             catch_unwind(AssertUnwindSafe(|| seed(&ctx)))
         };
@@ -598,7 +723,7 @@ impl Runtime {
 
     /// Per-server scheduling statistics since startup, by server index.
     pub fn server_stats(&self) -> Vec<SchedStats> {
-        self.inner.servers.iter().map(|s| *s.stats.lock()).collect()
+        self.inner.servers.iter().map(Server::stats).collect()
     }
 
     /// Diagnostic dumps recorded by the stall watchdog (empty unless the
@@ -624,9 +749,7 @@ impl Runtime {
     /// Objects whose `mutex` is currently held (diagnostics; normally empty
     /// when no scope is running).
     pub fn held_mutexes(&self) -> Vec<ObjRef> {
-        let mut v: Vec<ObjRef> = self.inner.held.lock().iter().copied().collect();
-        v.sort();
-        v
+        self.inner.held.snapshot()
     }
 }
 
@@ -634,8 +757,8 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for s in &self.inner.servers {
-            let _guard = s.sleep_lock.lock();
-            s.wake.notify_all();
+            let _guard = s.inbox.sleep_lock.lock();
+            s.inbox.wake.notify_all();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -695,59 +818,52 @@ impl RtCtx<'_> {
     }
 }
 
-/// Resolve affinity and enqueue, waking the target server.
+/// Resolve affinity and enqueue, waking the target server if it is parked.
 fn enqueue(inner: &Inner, creator: ProcId, task: RtTask, ticket: ScopeTicket) {
     let spec = task.affinity;
-    let target = spec.resolve_server(inner.servers.len(), creator, |o| inner.placement.home(o));
-    let hinted = spec.is_hinted();
-    let kind = spec.kind();
+    let n = inner.servers.len();
+    let target = spec.resolve_server(n, creator, |o| inner.placement.home(o));
     let inject = inner.faults.as_ref().is_some_and(|f| f.on_spawn());
-    let queued = Queued {
-        task,
-        target,
-        hinted,
-        uid: inner.fresh_uid(),
-        ticket,
-        inject,
-        blocked_before: false,
-    };
-    let server = &inner.servers[target.index()];
+    let inbox = &inner.servers[target.index()].inbox;
     {
-        let mut q = server.queues.lock();
-        match spec.queue_token() {
-            Some(tok) => {
-                let update = q.push_affinity(tok, kind, queued);
-                if update.newly_linked && inner.obs_on() {
-                    inner.obs_emit(
-                        target.index(),
-                        ObsEvent::SlotLink {
-                            proc: target,
-                            slot: update.slot.expect("affinity push fills a slot"),
-                            token: tok,
-                            time: inner.now_ns(),
-                        },
-                    );
-                }
-            }
-            None => q.push_default(kind, queued),
-        }
-        server.stats.lock().spawned += 1;
+        let mut q = inbox.queue.lock();
+        // Server t numbers its tasks t+1, t+1+n, t+1+2n, …: unique across
+        // servers, never the root's `TaskUid(0)`, and no shared counter.
+        let uid = TaskUid(q.spawned * n as u64 + target.index() as u64 + 1);
+        q.spawned += 1;
+        let queued = Queued {
+            task,
+            target,
+            hinted: spec.is_hinted(),
+            uid,
+            ticket,
+            inject,
+            blocked_before: false,
+        };
+        push(inner, &mut q.tasks, target, spec.kind(), queued);
     }
-    let _guard = server.sleep_lock.lock();
-    server.wake.notify_one();
+    if inbox.sleeping.load(Ordering::SeqCst) {
+        let _guard = inbox.sleep_lock.lock();
+        inbox.wake.notify_one();
+    }
 }
 
-/// Put a task back at the tail of its queue class on server `mi`.
-fn requeue(inner: &Inner, mi: usize, kind: AffinityKind, queued: Queued) {
-    let mut q = inner.servers[mi].queues.lock();
+/// Put a task at the tail of its queue class in `q`, server `proc`'s queues.
+fn push(
+    inner: &Inner,
+    q: &mut ServerQueues<Queued>,
+    proc: ProcId,
+    kind: AffinityKind,
+    queued: Queued,
+) {
     match queued.task.affinity.queue_token() {
         Some(tok) => {
             let update = q.push_affinity(tok, kind, queued);
             if update.newly_linked && inner.obs_on() {
                 inner.obs_emit(
-                    mi,
+                    proc.index(),
                     ObsEvent::SlotLink {
-                        proc: ProcId(mi),
+                        proc,
                         slot: update.slot.expect("affinity push fills a slot"),
                         token: tok,
                         time: inner.now_ns(),
@@ -759,8 +875,15 @@ fn requeue(inner: &Inner, mi: usize, kind: AffinityKind, queued: Queued) {
     }
 }
 
+/// Put a task back at the tail of its queue class on server `mi`.
+fn requeue(inner: &Inner, mi: usize, kind: AffinityKind, queued: Queued) {
+    let mut q = inner.servers[mi].inbox.queue.lock();
+    push(inner, &mut q.tasks, ProcId(mi), kind, queued);
+}
+
 fn worker_loop(inner: &Inner, me: ProcId) {
     let mi = me.index();
+    let server = &inner.servers[mi];
     let mut failed_scans = 0usize;
     // Consecutive mutex rotations with no task executed: drives the bounded
     // backoff that replaces a hot requeue/yield spin under contention.
@@ -780,9 +903,9 @@ fn worker_loop(inner: &Inner, me: ProcId) {
         }
         // 1. Local work.
         let (popped, depth) = {
-            let mut q = inner.servers[mi].queues.lock();
-            let depth = q.len();
-            let popped = q.pop_local_info();
+            let mut q = server.inbox.queue.lock();
+            let depth = q.tasks.len();
+            let popped = q.tasks.pop_local_info();
             if popped.is_some() && inner.obs_on() {
                 inner.obs_emit(
                     mi,
@@ -817,7 +940,7 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                 // the widening/probe-cap controls can engage.
                 if let Some(fb) = feedback.as_mut() {
                     if fb.note_task(0, 0, depth) {
-                        inner.servers[mi].stats.lock().adaptive_widenings += 1;
+                        server.own.stats.lock().adaptive_widenings += 1;
                     }
                 }
             } else {
@@ -825,7 +948,7 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                 if mutex_rotations >= MUTEX_PARK_AFTER {
                     // The only runnable work is blocked on a mutex another
                     // server holds: stop burning the core, nap briefly.
-                    inner.servers[mi].stats.lock().mutex_parks += 1;
+                    server.own.stats.lock().mutex_parks += 1;
                     std::thread::sleep(MUTEX_PARK);
                 } else {
                     std::thread::yield_now();
@@ -860,11 +983,13 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                 probes += 1;
                 let avoid = inner.policy.avoid_object_affinity && !desperate;
                 let batch = inner.servers[v.index()]
-                    .queues
+                    .inbox
+                    .queue
                     .lock()
+                    .tasks
                     .steal_with(avoid, inner.policy.steal_whole_sets);
                 if let Some(batch) = batch {
-                    let mut st = inner.servers[mi].stats.lock();
+                    let mut st = server.own.stats.lock();
                     st.tasks_stolen += batch.tasks.len() as u64;
                     if batch.token.is_some() {
                         st.sets_stolen += 1;
@@ -903,13 +1028,13 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                     } else {
                         AffinityKind::None
                     };
-                    inner.servers[mi].queues.lock().push_stolen(batch, kind);
+                    server.inbox.queue.lock().tasks.push_stolen(batch, kind);
                     failed_scans = 0;
                     continue;
                 }
                 None => {
                     failed_scans += 1;
-                    inner.servers[mi].stats.lock().failed_steals += 1;
+                    server.own.stats.lock().failed_steals += 1;
                     if inner.obs_on() {
                         inner.obs_emit(
                             mi,
@@ -928,12 +1053,15 @@ fn worker_loop(inner: &Inner, me: ProcId) {
             return;
         }
         {
-            let server = &inner.servers[mi];
-            let mut guard = server.sleep_lock.lock();
-            // Re-check under the lock to avoid missed wakeups.
-            if server.queues.lock().is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
-                server.wake.wait_for(&mut guard, Duration::from_millis(1));
+            let inbox = &server.inbox;
+            let mut guard = inbox.sleep_lock.lock();
+            // Announce the park, then re-check: `enqueue` loads the flag
+            // after its push, so a task is never left unseen by both sides.
+            inbox.sleeping.store(true, Ordering::SeqCst);
+            if inbox.queue.lock().tasks.is_empty() && !inner.shutdown.load(Ordering::SeqCst) {
+                inbox.wake.wait_for(&mut guard, Duration::from_millis(1));
             }
+            inbox.sleeping.store(false, Ordering::Relaxed);
         }
         // Injected fault: a processor slow to notice new work.
         if let Some(inj) = &inner.faults {
@@ -956,17 +1084,16 @@ fn run_or_rotate(inner: &Inner, me: ProcId, kind: AffinityKind, mut queued: Queu
         // Transient injected failure: consume it before the body runs and
         // requeue the task untouched, so it still executes exactly once.
         queued.inject = false;
-        inner.servers[mi].stats.lock().injected_faults += 1;
+        inner.servers[mi].own.stats.lock().injected_faults += 1;
         requeue(inner, mi, kind, queued);
         return true;
     }
     if let Some(lock_obj) = queued.task.mutex_on {
-        let acquired = inner.held.lock().insert(lock_obj);
-        if !acquired {
+        if !inner.held.try_acquire(lock_obj) {
             // Blocked: back of the queue; the server moves on (COOL blocks
             // the task, never the server).
             {
-                let mut st = inner.servers[mi].stats.lock();
+                let mut st = inner.servers[mi].own.stats.lock();
                 if queued.blocked_before {
                     st.mutex_retries += 1;
                 } else {
@@ -1016,6 +1143,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn execute(inner: &Inner, me: ProcId, queued: Queued, held: Option<HeldGuard<'_>>) {
     let mi = me.index();
+    let own = &inner.servers[mi].own;
     if let Some(inj) = &inner.faults {
         // Straggler / stall injection charges wall-clock time before the
         // body, where the simulator charges cycles.
@@ -1025,7 +1153,7 @@ fn execute(inner: &Inner, me: ProcId, queued: Queued, held: Option<HeldGuard<'_>
         }
     }
     {
-        let mut st = inner.servers[mi].stats.lock();
+        let mut st = own.stats.lock();
         st.executed += 1;
         if queued.hinted {
             st.hinted += 1;
@@ -1055,13 +1183,13 @@ fn execute(inner: &Inner, me: ProcId, queued: Queued, held: Option<HeldGuard<'_>
         inner,
         proc: me,
         task: uid,
-        scope: ticket.scope().clone(),
+        scope: ticket.scope(),
     };
     let body = task.body;
-    inner.executing[mi].store(uid.0, Ordering::SeqCst);
+    own.executing.store(uid.0, Ordering::Relaxed);
     let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-    inner.executing[mi].store(u64::MAX, Ordering::SeqCst);
-    inner.activity.fetch_add(1, Ordering::Relaxed);
+    own.executing.store(u64::MAX, Ordering::Relaxed);
+    own.completed.fetch_add(1, Ordering::Relaxed);
     if traced {
         inner.obs_emit(
             mi,
@@ -1077,7 +1205,7 @@ fn execute(inner: &Inner, me: ProcId, queued: Queued, held: Option<HeldGuard<'_>
     // waiter that observes scope completion must find the lock free.
     drop(held);
     if let Err(payload) = result {
-        inner.servers[mi].stats.lock().panics += 1;
+        own.stats.lock().panics += 1;
         // Record before the ticket drops: the scope waiter must observe the
         // failure once `remaining` reaches zero.
         ticket.scope().record_failure(TaskError {
@@ -1094,11 +1222,11 @@ fn execute(inner: &Inner, me: ProcId, queued: Queued, held: Option<HeldGuard<'_>
 /// `Runtime::stall_dumps()` (one per quiet interval, not a flood).
 fn watchdog_loop(inner: &Inner, interval: Duration) {
     let poll = (interval / 4).max(Duration::from_millis(1));
-    let mut last_seen = inner.activity.load(Ordering::SeqCst);
+    let mut last_seen = inner.activity();
     let mut last_change = Instant::now();
     while !inner.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(poll);
-        let act = inner.activity.load(Ordering::SeqCst);
+        let act = inner.activity();
         if act != last_seen {
             last_seen = act;
             last_change = Instant::now();
@@ -1252,6 +1380,38 @@ mod tests {
         })
         .unwrap();
         assert_eq!(max_seen.load(Ordering::SeqCst), 1, "mutex violated");
+    }
+
+    #[test]
+    fn objects_sharing_a_held_shard_do_not_exclude_each_other() {
+        // Two mutex tasks on different objects in one shard, pinned to
+        // different servers: both must be inside their bodies at once.
+        let rt = Runtime::new(RtConfig::new(2).with_policy(StealPolicy::disabled()));
+        let a = rt.placement().alloc_on(ProcId(0));
+        let b = (0..10_000)
+            .map(|_| rt.placement().alloc_on(ProcId(1)))
+            .find(|&b| held_shard(b) == held_shard(a))
+            .expect("some object shares a's shard");
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let res = rt.scope_with_timeout(Duration::from_secs(10), |s| {
+            for (obj, p) in [(a, 0), (b, 1)] {
+                let barrier = barrier.clone();
+                s.spawn(
+                    RtTask::new(move |_| {
+                        barrier.wait();
+                    })
+                    .with_mutex(obj)
+                    .with_affinity(AffinitySpec::processor(p)),
+                );
+            }
+        });
+        if res.is_err() {
+            // One body waits in the barrier for good: leak the runtime
+            // rather than hang joining its worker.
+            std::mem::forget(rt);
+            panic!("a shard neighbour's mutex blocked an unrelated object: {res:?}");
+        }
+        assert!(rt.held_mutexes().is_empty());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! results.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use cool_core::obs::ObsEvent;
 use cool_rt::{
     AffinitySpec, FaultPlan, ProcId, RtConfig, RtTask, Runtime, ScopeError, StealPolicy,
 };
@@ -214,6 +215,54 @@ fn watchdog_dumps_on_constructed_deadlock() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+#[test]
+fn stall_dump_names_the_in_flight_task_and_its_mutex() {
+    // The seed returns only once the holder is inside its body with `obj`
+    // locked, so the scope's deadline always expires on that state. The
+    // dump must name the holder by the uid the trace gave it.
+    let rt = Runtime::new(
+        RtConfig::new(2)
+            .with_policy(StealPolicy::disabled())
+            .with_trace(),
+    );
+    let obj = rt.placement().alloc_on(ProcId(0));
+    let (inside_tx, inside_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let res = rt.scope_with_timeout(Duration::from_millis(100), |s| {
+        s.spawn(
+            RtTask::new(move |_| {
+                inside_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(Duration::from_secs(10));
+            })
+            .with_label("holder")
+            .with_mutex(obj)
+            .with_affinity(AffinitySpec::processor(1)),
+        );
+        inside_rx.recv().unwrap();
+    });
+    release_tx.send(()).unwrap();
+    let Err(ScopeError::Stalled { dump, .. }) = res else {
+        panic!("expected Stalled, got {res:?}");
+    };
+    let holder = rt
+        .take_obs()
+        .events
+        .iter()
+        .find_map(|e| match e {
+            ObsEvent::TaskBegin {
+                task,
+                label: Some("holder"),
+                ..
+            } => Some(task.0),
+            _ => None,
+        })
+        .expect("the holder's begin is traced");
+    assert_eq!(dump.in_flight, vec![holder]);
+    assert_eq!(dump.held_mutexes, vec![obj]);
+    let text = dump.to_string();
+    assert!(text.contains(&format!("#{holder}")), "{text}");
 }
 
 #[test]

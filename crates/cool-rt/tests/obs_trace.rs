@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cool_core::obs::ObsEvent;
-use cool_core::{AffinitySpec, ObjRef, ProcId};
+use cool_core::{AffinitySpec, ObjRef, ProcId, TaskUid};
 use cool_rt::{RtConfig, RtTask, Runtime};
 
 /// A workload that exercises spawning into affinity sets, stealing
@@ -136,6 +136,33 @@ fn begin_end_pairs_match_per_task() {
         }
     }
     assert!(open.is_empty(), "unterminated tasks: {open:?}");
+}
+
+#[test]
+fn task_uids_are_distinct_and_nonzero_across_servers() {
+    // Tasks are spawned onto both servers, from the seed and from tasks
+    // running on each server, so both servers hand out uids.
+    let rt = Runtime::new(RtConfig::new(2).with_trace());
+    rt.scope(|s| {
+        for i in 0..32 {
+            s.spawn(
+                RtTask::new(move |ctx| {
+                    ctx.spawn(RtTask::new(|_| {}).with_affinity(AffinitySpec::processor(i + 1)));
+                })
+                .with_affinity(AffinitySpec::processor(i)),
+            );
+        }
+    })
+    .unwrap();
+    assert!(rt.server_stats().iter().all(|s| s.spawned == 32));
+    let mut uids = std::collections::HashSet::new();
+    for ev in &rt.take_obs().events {
+        if let ObsEvent::TaskBegin { task, .. } = ev {
+            assert_ne!(*task, TaskUid::ROOT, "a task took the root's uid");
+            assert!(uids.insert(*task), "uid {task} handed out twice");
+        }
+    }
+    assert_eq!(uids.len(), 64);
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! concurrency: exactly-once execution, scope correctness, mutex exclusion
 //! and policy compliance across randomised task mixes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use cool_rt::{AffinitySpec, ObjRef, ProcId, RtConfig, RtTask, Runtime, StealPolicy};
 
@@ -162,6 +163,86 @@ fn stats_spawn_and_execute_balance_across_many_scopes() {
     let st = rt.stats();
     assert_eq!(st.spawned, st.executed);
     assert_eq!(st.spawned, (0..20).map(|r| 10 + r).sum::<u64>());
+}
+
+#[test]
+fn per_server_spawn_counts_follow_the_target_server() {
+    // Every task on server p spawns two children onto each server, mostly
+    // other ones, so the spawn is counted away from the spawner. Stealing
+    // is off: each server executes exactly what was spawned onto it.
+    let n = 4;
+    let rt = Runtime::new(RtConfig::new(n).with_policy(StealPolicy::disabled()));
+    rt.scope(|s| {
+        for p in 0..n {
+            s.spawn(
+                RtTask::new(move |ctx| {
+                    let me = ctx.proc().index();
+                    for k in 1..=2 * n {
+                        ctx.spawn(
+                            RtTask::new(|_| {}).with_affinity(AffinitySpec::processor(me + k)),
+                        );
+                    }
+                })
+                .with_affinity(AffinitySpec::processor(p)),
+            );
+        }
+    })
+    .unwrap();
+    let per = rt.server_stats();
+    let spawned: u64 = per.iter().map(|s| s.spawned).sum();
+    let executed: u64 = per.iter().map(|s| s.executed).sum();
+    assert_eq!(spawned, executed);
+    for (i, s) in per.iter().enumerate() {
+        assert_eq!(s.spawned, 1 + 2 * n as u64, "server {i}: {s:?}");
+        assert_eq!(s.executed, s.spawned, "server {i}: {s:?}");
+    }
+}
+
+#[test]
+fn a_mutex_held_on_one_server_turns_its_object_away_on_another() {
+    // Task A (server 0) holds `obj`'s mutex until the seed releases it;
+    // the seed releases only after task B (server 1, same object) has been
+    // turned away once, so B must run after A, never beside it.
+    let rt = Runtime::new(RtConfig::new(2).with_policy(StealPolicy::disabled()));
+    let obj = rt.placement().alloc_on(ProcId(0));
+    let (inside_tx, inside_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let a_done = Arc::new(AtomicBool::new(false));
+    let b_after_a = Arc::new(AtomicBool::new(false));
+    rt.scope(|s| {
+        let a_done2 = a_done.clone();
+        s.spawn(
+            RtTask::new(move |_| {
+                inside_tx.send(()).unwrap();
+                // Bounded, so a failing test drains instead of hanging.
+                let _ = release_rx.recv_timeout(Duration::from_secs(10));
+                a_done2.store(true, Ordering::SeqCst);
+            })
+            .with_mutex(obj)
+            .with_affinity(AffinitySpec::processor(0)),
+        );
+        inside_rx.recv().unwrap();
+        let (a_done3, b_after_a2) = (a_done.clone(), b_after_a.clone());
+        s.spawn(
+            RtTask::new(move |_| {
+                b_after_a2.store(a_done3.load(Ordering::SeqCst), Ordering::SeqCst);
+            })
+            .with_mutex(obj)
+            .with_affinity(AffinitySpec::processor(1)),
+        );
+        let t0 = Instant::now();
+        while rt.server_stats()[1].mutex_blocks == 0 && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+    })
+    .unwrap();
+    assert!(
+        b_after_a.load(Ordering::SeqCst),
+        "B ran while A held the mutex"
+    );
+    assert_eq!(rt.server_stats()[1].mutex_blocks, 1);
+    assert!(rt.held_mutexes().is_empty());
 }
 
 #[test]

@@ -81,6 +81,14 @@ run cargo test -q --offline -p dash-sim --lib engine
 run cargo test -q --offline -p dash-sim --lib equiv
 run cargo test -q --release --offline -p dash-sim --test contention_props
 
+# Threaded-runtime gate: the cool-rt suites (chaos, stress, obs trace and
+# the unit tests) and the two root suites that drive the threaded runtime,
+# in release mode by name. The runtime's per-task path relies on
+# Relaxed/Release/Acquire orderings, which optimized builds exercise hardest.
+run cargo test -q --release --offline -p cool-rt
+run cargo test -q --release --offline --test threaded_matches_simulated
+run cargo test -q --release --offline --test fault_determinism
+
 # Perf gate: single-repeat sweep validated against the committed
 # BENCH_8.json — schema check, exact simulated refs/cycles, a hard
 # failure on a >25% wall-clock regression at the pinned scale, and a ≤5%
