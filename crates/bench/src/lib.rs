@@ -1,6 +1,6 @@
 //! Experiment drivers that regenerate every table and figure of the paper's
 //! evaluation (Section 6). The `figures` binary prints them as TSV; the
-//! criterion benches time scaled-down instances of the same drivers; the
+//! `perfbench` binary times scaled-down runs of them; the
 //! workspace integration tests assert the qualitative shapes.
 //!
 //! | Paper exhibit | Driver |
@@ -88,13 +88,13 @@ pub fn print_rows(rows: &[FigureRow]) {
     print!("{}", repro::render::figure_rows_tsv(rows));
 }
 
-/// Experiment scale: `Small` for tests and criterion (scaled-down machine
+/// Experiment scale: `Small` for tests and `perfbench` (scaled-down machine
 /// and inputs), `Full` for the figures binary (DASH-sized machine, inputs
 /// that exceed the caches as the paper's did), `Deep` for the deep-topology
 /// sweep (64-processor 3-level SMT/chiplet/socket machine).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Scaled-down machine and inputs for tests and criterion benches.
+    /// Scaled-down machine and inputs for tests and `perfbench`.
     Small,
     /// DASH-sized machine with cache-exceeding inputs (the paper's figures).
     Full,

@@ -59,8 +59,11 @@
 //! assert_eq!(report.mem.remote_misses, 0);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod report;
 pub mod runtime;
+mod sched;
 pub mod task;
 
 pub use report::RunReport;

@@ -62,8 +62,11 @@ impl RunReport {
 /// speedup 4.2)`). The bench harness prints vectors of these as TSV.
 #[derive(Clone, Debug)]
 pub struct SeriesPoint {
+    /// The series label (e.g. a scheduling version's name).
     pub series: &'static str,
+    /// Processor count of the point.
     pub nprocs: usize,
+    /// The plotted value (e.g. a speedup).
     pub value: f64,
 }
 

@@ -5,12 +5,12 @@ use std::collections::HashMap;
 use cool_core::obs::{MemDelta, ObsEvent, ObsRecorder, ObsTrace};
 use cool_core::{
     AdaptiveConfig, AffinityKind, ClusterId, FaultPlan, NodeId, ObjRef, PolicyFeedback, ProcId,
-    RebalanceConfig, RtEvent, SchedStats, ServerQueues, StealPolicy, TaskUid, Topology,
-    VictimOrders,
+    RebalanceConfig, RtEvent, SchedStats, StealPolicy, TaskUid, Topology, VictimOrders,
 };
 use dash_sim::{Machine, MachineConfig};
 
 use crate::report::RunReport;
+use crate::sched::{BusyQueues, NextActor};
 use crate::task::{Task, TaskCtx};
 
 /// An internal scheduling invariant was violated (the simulator tried to
@@ -233,8 +233,11 @@ pub struct SimRuntime {
     /// Precomputed per-thief victim orders with common-ancestor levels
     /// (`steal_order` allocated on the idle/steal hot path).
     victims: VictimOrders,
-    queues: Vec<ServerQueues<SimTask>>,
+    /// Every server's queues, with the set of servers that have work.
+    queues: BusyQueues<SimTask>,
     clocks: Vec<u64>,
+    /// Which server acts next: a tournament tree over `clocks`.
+    next_actor: NextActor,
     stats: SchedStats,
     /// Virtual time at which each mutex object's lock becomes free.
     locks: HashMap<ObjRef, u64>,
@@ -282,12 +285,14 @@ impl SimRuntime {
             machine.enable_traffic();
         }
         let topology = cfg.machine.topology();
+        let clocks = vec![0; n];
         SimRuntime {
             machine,
             topology: cfg.machine.topology(),
             victims: cfg.machine.topology().victim_orders(),
-            queues: (0..n).map(|_| ServerQueues::new(cfg.affinity_slots)).collect(),
-            clocks: vec![0; n],
+            queues: BusyQueues::new(n, cfg.affinity_slots),
+            next_actor: NextActor::new(&clocks),
+            clocks,
             stats: SchedStats::default(),
             locks: HashMap::new(),
             pending: 0,
@@ -528,7 +533,7 @@ impl SimRuntime {
         let token = st.task.affinity.queue_token();
         match token {
             Some(tok) => {
-                let up = self.queues[p.index()].push_affinity(tok, kind, st);
+                let up = self.queues.push_affinity(p.index(), tok, kind, st);
                 if up.newly_linked {
                     if let Some(slot) = up.slot {
                         self.obs_emit(ObsEvent::SlotLink {
@@ -540,7 +545,7 @@ impl SimRuntime {
                     }
                 }
             }
-            None => self.queues[p.index()].push_default(kind, st),
+            None => self.queues.push_default(p.index(), kind, st),
         }
     }
 
@@ -586,29 +591,24 @@ impl SimRuntime {
         out
     }
 
-    /// The event loop: repeatedly act on the earliest-clock server.
+    /// The event loop: repeatedly act on the earliest-clock server (ties
+    /// broken by id).
+    ///
+    /// The tree is rebuilt on entry because the rebalancer moves clocks
+    /// between phases. Within a step only the acting server's clock moves,
+    /// so refreshing its leaf keeps the tree exact.
     fn drain(&mut self) -> Result<(), SimError> {
+        self.next_actor.rebuild(&self.clocks);
         while self.pending > 0 {
-            let p = self.min_clock_server();
-            if !self.queues[p.index()].is_empty() {
-                self.dispatch(p)?;
+            let pi = self.next_actor.first();
+            if self.queues.is_busy(pi) {
+                self.dispatch(ProcId(pi))?;
             } else {
-                self.try_steal_or_idle(p)?;
+                self.try_steal_or_idle(ProcId(pi))?;
             }
+            self.next_actor.update(pi, self.clocks[pi]);
         }
         Ok(())
-    }
-
-    /// The server with the earliest clock (ties broken by id) — the next one
-    /// to act in virtual time.
-    fn min_clock_server(&self) -> ProcId {
-        let mut best = 0;
-        for q in 1..self.clocks.len() {
-            if self.clocks[q] < self.clocks[best] {
-                best = q;
-            }
-        }
-        ProcId(best)
     }
 
     /// Pop and run (or rotate) the next local task on `p`.
@@ -617,17 +617,17 @@ impl SimRuntime {
         if self.obs_on() {
             self.obs_emit(ObsEvent::QueueDepth {
                 proc: p,
-                depth: self.queues[pi].len(),
+                depth: self.queues.queue(pi).len(),
                 time: self.clocks[pi],
             });
         }
-        let popped = match self.queues[pi].pop_local_info() {
+        let popped = match self.queues.pop_local_info(pi) {
             Some(popped) => popped,
             None => {
                 return Err(SimError {
                     proc: p,
                     pending: self.pending,
-                    queue_depths: self.queues.iter().map(|q| q.len()).collect(),
+                    queue_depths: self.queues.depths(),
                     clocks: self.clocks.clone(),
                 })
             }
@@ -696,7 +696,7 @@ impl SimRuntime {
                 let (rot, earliest) = &mut self.rotations[pi];
                 *rot += 1;
                 *earliest = (*earliest).min(free_at);
-                let full_cycle = *rot > self.queues[pi].len();
+                let full_cycle = *rot > self.queues.queue(pi).len();
                 let jump_to = *earliest;
                 if full_cycle {
                     // Everything runnable was tried; jump to the first lock
@@ -870,7 +870,7 @@ impl SimRuntime {
         if let Some(fb) = self.feedback.as_mut() {
             let m = self.machine.monitor().proc(pi).ref_mix();
             let (refs0, rem0) = self.feedback_snap[pi];
-            let depth = self.queues[pi].len();
+            let depth = self.queues.queue(pi).len();
             if fb.note_task(m[0] - refs0, m[4] - rem0, depth) {
                 self.stats.adaptive_widenings += 1;
             }
@@ -1009,17 +1009,22 @@ impl SimRuntime {
             let mut probes = 0u64;
             for i in 0..self.victims.len_per_thief() {
                 let (v, lvl) = self.victims.entry(p, i);
-                if (lvl as usize) > allowed {
-                    continue;
-                }
-                if probes >= probe_cap {
+                // Victim orders are level-sorted: past the ceiling, every
+                // remaining victim is too.
+                if (lvl as usize) > allowed || probes >= probe_cap {
                     break;
                 }
                 let cross_cluster = lvl > mem_level;
                 probes += 1;
+                // An empty victim still costs its probe, but has nothing to
+                // steal.
+                if !self.queues.is_busy(v.index()) {
+                    continue;
+                }
                 let avoid_object = policy.avoid_object_affinity && !desperate;
                 if let Some(batch) =
-                    self.queues[v.index()].steal_with(avoid_object, policy.steal_whole_sets)
+                    self.queues
+                        .steal_with(v.index(), avoid_object, policy.steal_whole_sets)
                 {
                     let n = batch.tasks.len() as u64;
                     let stolen_token = batch.token;
@@ -1043,7 +1048,7 @@ impl SimRuntime {
                     } else {
                         AffinityKind::None
                     };
-                    self.queues[pi].push_stolen(batch, kind);
+                    self.queues.push_stolen(pi, batch, kind);
                     let cost = probes * self.cfg.steal_probe_cost + self.cfg.steal_xfer_cost;
                     self.clocks[pi] += cost;
                     self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
@@ -1086,13 +1091,7 @@ impl SimRuntime {
         }
         // Idle: advance past the earliest server that still has work, so it
         // acts first and we re-examine the world afterwards.
-        let next = self
-            .clocks
-            .iter()
-            .enumerate()
-            .filter(|&(q, _)| !self.queues[q].is_empty())
-            .map(|(_, &c)| c)
-            .min();
+        let next = self.queues.busy().map(|q| self.clocks[q]).min();
         if let Some(t) = next {
             let target = t.max(self.clocks[pi]) + 1;
             self.machine.monitor_mut().proc_mut(pi).idle_cycles +=

@@ -104,11 +104,13 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --offline --workspace --no-deps -q
 # {1,4} procs) through the parallel pool with a fresh memo cache, race it
 # against the serial reference (records must be byte-identical; wall-clock
 # logged), and drift-check the records against the committed golden within
-# a 2% band. The rendered tables must match the committed ones exactly.
+# a 2% band. The sweep is deterministic, so the records and the rendered
+# tables must also match the committed ones byte for byte.
 rm -rf target/repro-smoke target/repro-cache-ci
 run cargo run --release --offline -q -p bench --bin repro -- \
     --smoke --race-serial --out target/repro-smoke \
     --check results/smoke/records.json --tolerance 0.02
+run cmp results/smoke/records.json target/repro-smoke/records.json
 run cmp results/smoke/tables.md target/repro-smoke/tables.md
 run cmp results/smoke/tables.tsv target/repro-smoke/tables.tsv
 
@@ -118,7 +120,7 @@ run cmp results/smoke/tables.tsv target/repro-smoke/tables.tsv
 # memo-miss case, and the committed deep-topology sweep (3 apps × 5 steal
 # disciplines × {1,8,32,64} processors on the 3-level 64-processor machine)
 # re-swept uncached and drift-checked against results/deep within the same
-# 2% band; rendered tables must match byte-for-byte.
+# 2% band; records and rendered tables must match byte-for-byte.
 run cargo test -q --offline -p cool-core --test topology_props
 run cargo test -q --offline --test topology_tree
 run cargo test -q --offline --test repro_determinism
@@ -126,6 +128,7 @@ rm -rf target/repro-deep
 run cargo run --release --offline -q -p bench --bin repro -- \
     --deep --no-cache --out target/repro-deep \
     --check results/deep/records.json --tolerance 0.02
+run cmp results/deep/records.json target/repro-deep/records.json
 run cmp results/deep/tables.md target/repro-deep/tables.md
 run cmp results/deep/tables.tsv target/repro-deep/tables.tsv
 
@@ -135,12 +138,13 @@ run cmp results/deep/tables.tsv target/repro-deep/tables.tsv
 # committed table really contains the claimed dominance), then the adaptive
 # ladder (3 apps × 5 versions × {1,8,32,64} on the deep machine) re-swept
 # uncached and drift-checked against results/adaptive within the same 2%
-# band; rendered tables must match byte-for-byte.
+# band; records and rendered tables must match byte-for-byte.
 run cargo test -q --offline --test adaptive_policies
 rm -rf target/repro-adaptive
 run cargo run --release --offline -q -p bench --bin repro -- \
     --adaptive --no-cache --out target/repro-adaptive \
     --check results/adaptive/records.json --tolerance 0.02
+run cmp results/adaptive/records.json target/repro-adaptive/records.json
 run cmp results/adaptive/tables.md target/repro-adaptive/tables.md
 run cmp results/adaptive/tables.tsv target/repro-adaptive/tables.tsv
 
