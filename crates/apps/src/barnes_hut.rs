@@ -35,12 +35,17 @@ const BODY_BYTES: u64 = 80;
 /// Barnes-Hut parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BhParams {
+    /// Number of bodies.
     pub nbodies: usize,
+    /// Costzone body groups the force phase is split into.
     pub groups: usize,
+    /// Simulated time steps.
     pub timesteps: usize,
     /// Opening angle; 0 degenerates to exact pairwise summation.
     pub theta: f64,
+    /// Time-step length.
     pub dt: f64,
+    /// Seed of the Plummer-model bodies.
     pub seed: u64,
 }
 
@@ -531,13 +536,11 @@ pub fn run_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     let max_error = verify(params, &state.borrow().bodies);
     AppReport {
         version,
         run,
         max_error,
-        events,
         obs: rt.take_obs(),
     }
 }

@@ -143,7 +143,6 @@ pub fn run_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     // Verify: assemble L and compare against dense Cholesky of A.
     let mut l = DenseMatrix::zeros(n, n);
     {
@@ -163,7 +162,6 @@ pub fn run_with_faults(
         version,
         run,
         max_error: l.max_diff(&lref),
-        events,
         obs: rt.take_obs(),
     }
 }

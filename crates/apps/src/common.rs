@@ -1,7 +1,6 @@
 //! Conventions shared by the case studies.
 
-use cool_core::obs::ObsTrace;
-use cool_core::{AdaptiveConfig, RebalanceConfig, RtEvent, StealPolicy};
+use cool_core::{AdaptiveConfig, EventLog, RebalanceConfig, StealPolicy};
 use cool_sim::{MachineConfig, RunReport, SimConfig};
 
 /// The scheduling versions the paper's figures compare. Not every app uses
@@ -129,12 +128,9 @@ pub struct AppReport {
     /// Maximum numeric deviation from the sequential reference (each app
     /// defines the metric; must be small).
     pub max_error: f64,
-    /// Analyzer event stream (empty unless the run was configured with
-    /// [`SimConfig::record_events`] / `with_events()`).
-    pub events: Vec<RtEvent>,
-    /// Scheduler-observability trace (empty unless the run was configured
-    /// with `SimConfig::with_trace()`).
-    pub obs: ObsTrace,
+    /// The recorded event stream: empty unless the run was configured with
+    /// a [`SimConfig::recording`] mode (`with_trace()` or `with_events()`).
+    pub obs: EventLog,
 }
 
 impl AppReport {

@@ -1,7 +1,7 @@
 //! A name-indexed driver over the six case studies — shared by the analyzer
 //! (`cool-analyze`), the figure harness, the `cool-repro` sweep engine, and
 //! the CI observability gate — plus helpers that turn a run's recorded
-//! [`ObsTrace`](cool_core::obs::ObsTrace) into the export artifacts: a
+//! [`EventLog`](cool_core::EventLog) into the export artifacts: a
 //! Perfetto-loadable Chrome trace and the schema'd `cool-metrics-v1`
 //! summary.
 //!
@@ -17,6 +17,10 @@
 //! * [`run_app_scaled`] with [`AppScale::Full`] — the paper-sized inputs
 //!   (working sets exceeding the simulated caches, as the paper's did)
 //!   behind the committed reproduction tables in `results/`.
+//!
+//! It also holds [`Flags`], the small command-line parser every harness
+//! binary shares: unknown flags and missing values are errors, and `--help`
+//! prints usage without running anything.
 
 use cool_core::FaultPlan;
 use cool_sim::SimConfig;
@@ -416,4 +420,108 @@ pub fn trace_artifacts(report: &AppReport) -> (String, String) {
     cool_obs::validate_metrics_json(&metrics)
         .unwrap_or_else(|e| panic!("generated metrics failed validation: {e}"));
     (trace, metrics)
+}
+
+/// A parsed command line: the switches given, the `--option value` pairs,
+/// and the bare (positional) arguments.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Flags {
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+    positional: Vec<String>,
+}
+
+impl Flags {
+    /// Parse `args` (the program name excluded) against the declared
+    /// `switches` (flags that stand alone) and `options` (flags that take
+    /// the next argument as their value), accepting at most
+    /// `max_positional` bare arguments. `Ok(None)` means `--help` was
+    /// given; `Err` names the first problem.
+    pub fn parse(
+        args: &[String],
+        switches: &[&str],
+        options: &[&str],
+        max_positional: usize,
+    ) -> Result<Option<Flags>, String> {
+        let mut flags = Flags::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let a = arg.as_str();
+            if a == "--help" {
+                return Ok(None);
+            } else if switches.contains(&a) {
+                flags.switches.push(arg.clone());
+            } else if options.contains(&a) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => flags.values.push((arg.clone(), v.clone())),
+                    _ => return Err(format!("{a} takes a value")),
+                }
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag {a}"));
+            } else if flags.positional.len() < max_positional {
+                flags.positional.push(arg.clone());
+            } else {
+                return Err(format!("unexpected argument {a}"));
+            }
+        }
+        Ok(Some(flags))
+    }
+
+    /// Parse the process's arguments, or exit: `--help` prints `usage` to
+    /// stdout and exits 0; a bad command line prints the problem and
+    /// `usage` to stderr and exits 2.
+    pub fn from_env(usage: &str, switches: &[&str], options: &[&str], max_positional: usize) -> Flags {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match Flags::parse(&args, switches, options, max_positional) {
+            Ok(Some(flags)) => flags,
+            Ok(None) => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("error: {e}\n{usage}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.switches.iter().any(|s| s == flag)
+    }
+
+    /// The value of option `flag` (the last one, if repeated).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The bare arguments, in order.
+    pub fn positional(&self) -> &[String] {
+        &self.positional
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Flags>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Flags::parse(&args, &["--smoke", "--all"], &["--out", "--procs"], 1)
+    }
+
+    #[test]
+    fn flag_parser_accepts_declared_flags_and_rejects_the_rest() {
+        let f = parse(&["--smoke", "--out", "dir", "report.json", "--out", "d2"]).unwrap().unwrap();
+        assert!(f.has("--smoke") && !f.has("--all"));
+        assert_eq!(f.value("--out"), Some("d2"), "the last value wins");
+        assert_eq!(f.value("--procs"), None);
+        assert_eq!(f.positional(), ["report.json".to_string()]);
+        assert_eq!(parse(&[]), Ok(Some(Flags::default())));
+        assert_eq!(parse(&["--smoke", "--help"]), Ok(None), "--help wins");
+        assert_eq!(parse(&["--smok"]), Err("unknown flag --smok".into()));
+        assert_eq!(parse(&["--out"]), Err("--out takes a value".into()));
+        assert_eq!(parse(&["--out", "--smoke"]), Err("--out takes a value".into()));
+        assert_eq!(parse(&["a", "b"]), Err("unexpected argument b".into()));
+    }
 }

@@ -121,7 +121,6 @@ pub fn run_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     // Verify against the sequential factorization.
     let mut reference = workloads::matrices::dense_dd(n, params.seed);
     ge_factor(&mut reference);
@@ -130,7 +129,6 @@ pub fn run_with_faults(
         version,
         run,
         max_error,
-        events,
         obs: rt.take_obs(),
     }
 }

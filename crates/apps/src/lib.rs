@@ -32,6 +32,8 @@
 //! [`driver`] runs any app by name at a pinned fast scale and exports its
 //! observability artifacts (Chrome trace + `cool-metrics-v1` summary).
 
+#![warn(missing_docs)]
+
 pub mod barnes_hut;
 pub mod block_cholesky;
 pub mod common;

@@ -32,6 +32,7 @@ use crate::common::{AppReport, RoundRobin, Version};
 /// A concrete route: the cells a wire occupies.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Route {
+    /// The `(x, y)` routing cells the route occupies.
     pub cells: Vec<(usize, usize)>,
 }
 
@@ -50,7 +51,9 @@ struct State {
 /// LocusRoute parameters: the circuit plus iteration count.
 #[derive(Clone, Debug)]
 pub struct LocusParams {
+    /// The circuit to route.
     pub circuit: Circuit,
+    /// Routing passes over every wire (`Number` in Figure 9).
     pub iterations: usize,
 }
 
@@ -138,13 +141,11 @@ pub fn run_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     let max_error = verify(circ, &state.borrow()) as f64;
     AppReport {
         version,
         run,
         max_error,
-        events,
         obs: rt.take_obs(),
     }
 }

@@ -41,7 +41,12 @@ pub enum Decomposition {
     /// Contiguous row blocks (the paper's choice): `regions` strips.
     Rows,
     /// A `br × bc` rectangular block grid (br·bc regions).
-    Blocks { br: usize, bc: usize },
+    Blocks {
+        /// Block rows.
+        br: usize,
+        /// Block columns.
+        bc: usize,
+    },
 }
 
 /// How the grids' regions are placed in memory — the automatic-distribution
@@ -301,13 +306,11 @@ pub fn run_full_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     let max_error = verify(params, &state.borrow().cur);
     AppReport {
         version,
         run,
         max_error,
-        events,
         obs: rt.take_obs(),
     }
 }

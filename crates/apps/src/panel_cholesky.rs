@@ -48,9 +48,13 @@ pub struct PanelParams {
 /// Everything derived from the input once (shared across versions so figure
 /// sweeps don't redo symbolic analysis).
 pub struct PanelProblem {
+    /// The matrix to factor.
     pub a: CscMatrix,
+    /// Its symbolic factorization (the nonzero structure of `L`).
     pub sym: Arc<SymbolicFactor>,
+    /// The columns grouped into panels.
     pub panels: PanelPartition,
+    /// Which panels each panel modifies, and how many updates each awaits.
     pub deps: PanelDeps,
 }
 
@@ -154,7 +158,6 @@ pub fn run_with_faults(
     }
 
     let run = rt.report();
-    let events = rt.take_events();
     // Verify against the sequential left-looking reference.
     let mut fref = Factor::init(&prob.a, prob.sym.clone());
     fref.factorize_left_looking();
@@ -172,7 +175,6 @@ pub fn run_with_faults(
         version,
         run,
         max_error,
-        events,
         obs: rt.take_obs(),
     }
 }

@@ -16,21 +16,31 @@
 //! gates; `--check FILE` validates an existing document (schema, accounting
 //! invariants, canonical byte form) without running anything.
 
+use apps::driver::Flags;
 use bench::serve::{run_load, smoke_config, validate_serve_json, LoadConfig, ServeReport};
 
+const USAGE: &str = "usage: cool-serve [--smoke] [--faults] [--seed N] [--out FILE] \
+[--trace-out BASE] [--require-zero-lost] [--require-shed] [--require-retries] \
+| cool-serve --check FILE";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let opt_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} takes a value"))
-                .clone()
-        })
-    };
+    let flags = Flags::from_env(
+        USAGE,
+        &[
+            "--smoke",
+            "--faults",
+            "--require-zero-lost",
+            "--require-shed",
+            "--require-retries",
+        ],
+        &["--check", "--seed", "--out", "--trace-out"],
+        0,
+    );
+    let has = |f: &str| flags.has(f);
+    let opt_value = |f: &str| flags.value(f);
 
     if let Some(path) = opt_value("--check") {
-        let text = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
         match validate_serve_json(&text) {
             Ok(r) => {
@@ -83,12 +93,12 @@ fn main() {
 
     match opt_value("--out") {
         Some(path) => {
-            std::fs::write(&path, &json)
+            std::fs::write(path, &json)
                 .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
             eprintln!("wrote {path}");
             // Producer-side gate: what we wrote must parse back and be in
             // canonical byte form.
-            let back = std::fs::read_to_string(&path)
+            let back = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("cannot re-read {path}: {e}")));
             if let Err(e) = validate_serve_json(&back) {
                 die(&format!("written report failed validation: {e}"));
@@ -97,7 +107,7 @@ fn main() {
         None => print!("{json}"),
     }
 
-    check_requirements(&report, &args);
+    check_requirements(&report, &flags);
     eprintln!(
         "cool-serve: {} submitted, {} completed, {} shed, {} retries, p99 {} us, goodput {:.0} req/s",
         report.submitted, report.completed, report.shed, report.retries, report.p99_us,
@@ -106,8 +116,8 @@ fn main() {
 }
 
 /// Apply the `--require-*` exit-status gates.
-fn check_requirements(report: &ServeReport, args: &[String]) {
-    let has = |f: &str| args.iter().any(|a| a == f);
+fn check_requirements(report: &ServeReport, flags: &Flags) {
+    let has = |f: &str| flags.has(f);
     if let Err(e) = report.validate() {
         die(&format!("report invariants violated: {e}"));
     }

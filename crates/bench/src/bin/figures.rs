@@ -14,39 +14,57 @@
 //! `chrome://tracing` — plus `BASE.metrics.json`, the byte-stable
 //! `cool-metrics-v1` summary the CI gate diffs.
 
+use apps::driver::Flags;
 use bench::ablation;
 use bench::{
     fig_barnes_hut, fig_block_cholesky, fig_gauss, fig_locusroute, fig_ocean,
     fig_panel_cholesky, machine_table, print_rows, summary, table1, Scale,
 };
 
+const USAGE: &str = "usage: figures [--all] [--table1] [--machine] [--gauss] [--ocean] \
+[--locusroute] [--panel] [--block] [--barnes] [--ablations] [--summary] [--small] \
+[--procs 1,4,16] [--trace-out BASE [--trace-app APP]]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let all = has("--all") || args.is_empty();
+    let flags = Flags::from_env(
+        USAGE,
+        &[
+            "--all",
+            "--small",
+            "--table1",
+            "--machine",
+            "--gauss",
+            "--ocean",
+            "--locusroute",
+            "--panel",
+            "--block",
+            "--barnes",
+            "--ablations",
+            "--summary",
+        ],
+        &["--procs", "--trace-out", "--trace-app"],
+        0,
+    );
+    let has = |f: &str| flags.has(f);
+    let all = has("--all") || std::env::args().len() == 1;
     let scale = if has("--small") {
         Scale::Small
     } else {
         Scale::Full
     };
-    let procs: Vec<usize> = match args.iter().position(|a| a == "--procs") {
-        Some(i) => args[i + 1]
+    let procs: Vec<usize> = match flags.value("--procs") {
+        Some(list) => list
             .split(',')
             .map(|s| s.parse().expect("--procs takes a comma list"))
             .collect(),
         None => scale.default_procs(),
     };
-    let opt_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} takes a value")).clone())
-    };
 
-    if let Some(base) = opt_value("--trace-out") {
-        let app = opt_value("--trace-app").unwrap_or_else(|| "gauss".to_string());
+    if let Some(base) = flags.value("--trace-out") {
+        let app = flags.value("--trace-app").unwrap_or("gauss");
         let version = apps::Version::AffinityDistr;
         let cfg = apps::common::sim_config_small(8, version).with_trace();
-        let report = apps::driver::run_app(&app, cfg, version, None);
+        let report = apps::driver::run_app(app, cfg, version, None);
         let (trace, metrics) = apps::driver::trace_artifacts(&report);
         for (suffix, doc) in [("trace", &trace), ("metrics", &metrics)] {
             let path = format!("{base}.{suffix}.json");

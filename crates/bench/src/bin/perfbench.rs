@@ -15,6 +15,7 @@
 //! `machine_micro` zero-contention fast path must hold its refs/sec to
 //! within 5% of the baseline.
 
+use apps::driver::Flags;
 use bench::perf;
 
 const SCHEMA: &str = "cool-bench-v1";
@@ -26,14 +27,12 @@ const MAX_REGRESSION: f64 = 1.25;
 /// the cost of carrying the engine alongside the legacy model.
 const MICRO_MAX_REGRESSION: f64 = 1.05;
 
+const USAGE: &str = "usage: perfbench [--smoke] [--out FILE] [--baseline FILE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let opt = |f: &str| {
-        args.iter()
-            .position(|a| a == f)
-            .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{f} takes a value")).clone())
-    };
+    let flags = Flags::from_env(USAGE, &["--smoke"], &["--out", "--baseline"], 0);
+    let has = |f: &str| flags.has(f);
+    let opt = |f: &str| flags.value(f);
     // `iters` is pinned: refs totals must be comparable across runs so the
     // baseline check can demand exact equality. `--smoke` only drops repeats.
     let (repeats, iters): (u32, u32) = if has("--smoke") { (1, 16) } else { (3, 16) };
@@ -49,17 +48,17 @@ fn main() {
 
     match opt("--out") {
         Some(path) => {
-            std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
             eprintln!("wrote {path}");
         }
         None => println!("{json}"),
     }
 
     if let Some(path) = opt("--baseline") {
-        let baseline = std::fs::read_to_string(&path)
+        let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        check_against_baseline(&json, &baseline, &path);
-        check_fast_path_budget(&json, &baseline, &path);
+        check_against_baseline(&json, &baseline, path);
+        check_fast_path_budget(&json, &baseline, path);
         eprintln!("baseline check OK ({path})");
     }
 }

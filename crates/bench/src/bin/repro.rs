@@ -37,23 +37,40 @@
 
 use std::process::ExitCode;
 
+use apps::driver::Flags;
+use apps::Version;
 use bench::repro::{
     self, drift, matrix::parse_version, records_doc, MemoCache, SweepOptions,
 };
 use bench::Scale;
-use apps::Version;
 
-fn opt_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| args.get(i + 1).unwrap_or_else(|| panic!("{flag} takes a value")).clone())
-}
+const USAGE: &str = "usage: repro [--smoke | --full | --deep | --adaptive] \
+[--apps A,B] [--versions L1,L2] [--procs 1,4] [--scale small|full|deep] \
+[--jobs N] [--serial] [--race-serial] [--no-cache] [--cache-dir DIR] [--out DIR] \
+[--check FILE [--tolerance F]] [--trace-out BASE]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
+    let flags = Flags::from_env(
+        USAGE,
+        &["--smoke", "--full", "--deep", "--adaptive", "--serial", "--race-serial", "--no-cache"],
+        &[
+            "--apps",
+            "--versions",
+            "--procs",
+            "--scale",
+            "--jobs",
+            "--cache-dir",
+            "--out",
+            "--check",
+            "--tolerance",
+            "--trace-out",
+        ],
+        0,
+    );
+    let has = |f: &str| flags.has(f);
+    let opt = |f: &str| flags.value(f).map(str::to_string);
 
-    let scale = match opt_value(&args, "--scale").as_deref() {
+    let scale = match opt("--scale").as_deref() {
         Some("full") => Scale::Full,
         Some("deep") => Scale::Deep,
         Some("small") | None => Scale::Small,
@@ -73,10 +90,12 @@ fn main() -> ExitCode {
         repro::adaptive_matrix()
     } else if has("--deep") {
         repro::deep_matrix()
-    } else if has("--full") || (!has("--apps") && !has("--versions") && !has("--procs")) {
+    } else if has("--full")
+        || (opt("--apps").is_none() && opt("--versions").is_none() && opt("--procs").is_none())
+    {
         repro::full_matrix(scale)
     } else {
-        let apps: Vec<&'static str> = match opt_value(&args, "--apps") {
+        let apps: Vec<&'static str> = match opt("--apps") {
             None => apps::driver::APP_NAMES.to_vec(),
             Some(list) => list
                 .split(',')
@@ -88,12 +107,12 @@ fn main() -> ExitCode {
                 })
                 .collect(),
         };
-        let versions: Option<Vec<Version>> = opt_value(&args, "--versions").map(|list| {
+        let versions: Option<Vec<Version>> = opt("--versions").map(|list| {
             list.split(',')
                 .map(|l| parse_version(l).unwrap_or_else(|| panic!("unknown version label {l:?}")))
                 .collect()
         });
-        let procs: Option<Vec<usize>> = opt_value(&args, "--procs").map(|list| {
+        let procs: Option<Vec<usize>> = opt("--procs").map(|list| {
             list.split(',')
                 .map(|p| p.parse().expect("--procs takes a comma list of counts"))
                 .collect()
@@ -109,12 +128,12 @@ fn main() -> ExitCode {
     let jobs: usize = if has("--serial") {
         1
     } else {
-        opt_value(&args, "--jobs").map_or(0, |v| v.parse().expect("--jobs takes a number"))
+        opt("--jobs").map_or(0, |v| v.parse().expect("--jobs takes a number"))
     };
     let cache = if has("--no-cache") || has("--race-serial") {
         None
     } else {
-        let dir = opt_value(&args, "--cache-dir").map_or_else(MemoCache::default_dir, Into::into);
+        let dir = opt("--cache-dir").map_or_else(MemoCache::default_dir, Into::into);
         match MemoCache::open(&dir) {
             Ok(c) => Some(c),
             Err(e) => {
@@ -179,7 +198,7 @@ fn main() -> ExitCode {
         outcome
     };
 
-    if let Some(dir) = opt_value(&args, "--out") {
+    if let Some(dir) = opt("--out") {
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("repro: cannot create {}: {e}", dir.display()));
@@ -194,15 +213,15 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(base) = opt_value(&args, "--trace-out") {
+    if let Some(base) = opt("--trace-out") {
         let path = format!("{base}.trace.json");
         std::fs::write(&path, cool_obs::chrome_trace_json(&outcome.trace.events))
             .unwrap_or_else(|e| panic!("repro: cannot write {path}: {e}"));
         eprintln!("repro: wrote {path} (sweep trace, {} events)", outcome.trace.events.len());
     }
 
-    if let Some(golden_path) = opt_value(&args, "--check") {
-        let tol: f64 = opt_value(&args, "--tolerance")
+    if let Some(golden_path) = opt("--check") {
+        let tol: f64 = opt("--tolerance")
             .map_or(0.02, |v| v.parse().expect("--tolerance takes a fraction"));
         let text = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("repro: cannot read golden {golden_path}: {e}"));

@@ -21,8 +21,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cool_core::obs::{MemDelta, ObsEvent, ObsRecorder, ObsTrace};
-use cool_core::{ProcId, TaskUid};
+use cool_core::{Event, EventLog, MemDelta, ProcId, Recorder, Recording, TaskUid};
 use cool_obs::ProgressMeter;
 
 use super::cache::MemoCache;
@@ -53,8 +52,8 @@ pub struct SweepOutcome {
     pub cache_hits: usize,
     /// Points actually simulated.
     pub cache_misses: usize,
-    /// The sweep's own observability stream (one task per point).
-    pub trace: ObsTrace,
+    /// The sweep's own trace (one task per point).
+    pub trace: EventLog,
 }
 
 /// Number of workers for `jobs` requested (0 = auto) and `npoints` jobs.
@@ -74,7 +73,7 @@ pub fn run_sweep(points: &[MatrixPoint], opts: &SweepOptions) -> SweepOutcome {
         queues[i % nworkers].lock().unwrap().push_back(i);
     }
     let results: Mutex<Vec<Option<ReproRecord>>> = Mutex::new(vec![None; points.len()]);
-    let recorder = ObsRecorder::with_default_capacity(nworkers);
+    let recorder = Recorder::new(Recording::Trace, nworkers).expect("tracing is on");
     let meter = Mutex::new(ProgressMeter::new(points.len(), 0, 2_000));
     let epoch = Instant::now();
 
@@ -133,7 +132,7 @@ fn worker_loop(
     points: &[MatrixPoint],
     queues: &[Mutex<VecDeque<usize>>],
     results: &Mutex<Vec<Option<ReproRecord>>>,
-    recorder: &ObsRecorder,
+    recorder: &Recorder,
     meter: &Mutex<ProgressMeter>,
     cache: Option<&MemoCache>,
     progress: bool,
@@ -158,13 +157,15 @@ fn worker_loop(
         let point = &points[idx];
         recorder.record(
             w,
-            ObsEvent::TaskBegin {
+            Event::TaskBegin {
                 task: TaskUid(idx as u64 + 1),
                 label: Some(point.app),
                 proc: ProcId(w),
-                set: None,
+                target: ProcId(w),
                 hinted: false,
-                on_target: true,
+                set: None,
+                object: None,
+                object_home: None,
                 time: now_ms(epoch),
             },
         );
@@ -180,7 +181,7 @@ fn worker_loop(
                 rec
             }
         };
-        let end = ObsEvent::TaskEnd {
+        let end = Event::TaskEnd {
             task: TaskUid(idx as u64 + 1),
             proc: ProcId(w),
             mem: Some(MemDelta {
@@ -244,11 +245,11 @@ mod tests {
             .trace
             .events
             .iter()
-            .filter(|e| matches!(e, ObsEvent::TaskBegin { .. }))
+            .filter(|e| matches!(e, Event::TaskBegin { .. }))
             .count();
         let mut mem = MemDelta::default();
         for e in &out.trace.events {
-            if let ObsEvent::TaskEnd { mem: Some(d), .. } = e {
+            if let Event::TaskEnd { mem: Some(d), .. } = e {
                 mem.accumulate(d);
             }
         }

@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use apps::driver::AppScale;
 use apps::serve_adapter::RouteRequestSet;
-use cool_core::obs::ObsTrace;
-use cool_core::FaultPlan;
+use cool_core::{EventLog, FaultPlan};
 use cool_rt::serve::{Outcome, Request, ServeConfig, SubmitError, WorkServer};
 
 /// Schema tag stamped into every report.
@@ -180,7 +179,7 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 
 /// Run one open-loop load replay. Returns the report plus the recorded
 /// observability trace (empty unless `cfg.record_trace`).
-pub fn run_load(cfg: &LoadConfig) -> (ServeReport, ObsTrace) {
+pub fn run_load(cfg: &LoadConfig) -> (ServeReport, EventLog) {
     let set = RouteRequestSet::new(cfg.scale);
     let n = set.nrequests();
     let mut serve_cfg = ServeConfig::new(cfg.domains, cfg.workers_per_domain)

@@ -18,7 +18,7 @@ use crate::report::{Analysis, RunFindings};
 use crate::{detect_races, analyze_locks, run_lints};
 
 /// Analyze one recorded event stream with all three passes.
-pub fn analyze_events(events: &[cool_core::RtEvent]) -> Analysis {
+pub fn analyze_events(events: &[cool_core::Event]) -> Analysis {
     Analysis {
         races: detect_races(events),
         locks: analyze_locks(events),
@@ -81,9 +81,8 @@ const FAULTED_VERSION: Version = Version::AffinityDistr;
 /// The six apps, in report order (shared with the figure harness).
 pub const APPS: [&str; 6] = apps::driver::APP_NAMES;
 
-/// Run one app at the analyzer scale with event recording and return the
-/// full report (events for the analysis passes, plus whatever the config
-/// asked the scheduler to record).
+/// Run one app at the analyzer scale with full event recording and return
+/// its report (the stream in `obs` feeds the analysis passes).
 pub fn run_app(app: &str, version: Version, faulted: bool) -> apps::AppReport {
     let faults = faulted.then(fault_plan);
     apps::driver::run_app(app, cfg(version), version, faults)
@@ -96,7 +95,7 @@ pub fn analyze_app(app: &str, version: Version, faulted: bool) -> RunFindings {
         app: app.to_string(),
         version: version_key(version).to_string(),
         schedule: if faulted { "faulted" } else { "default" }.to_string(),
-        analysis: analyze_events(&report.events),
+        analysis: analyze_events(&report.obs.events),
     }
 }
 

@@ -13,30 +13,19 @@
 
 use std::process::ExitCode;
 
+use apps::driver::Flags;
 use cool_analyze::{analyze_all, findings_to_json};
 
+const USAGE: &str = "usage: cool-analyze [OUTPUT_PATH] [--trace-out BASE [--trace-app APP]]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "analyze_findings.json".to_string();
-    let mut trace_out = None;
-    let mut trace_app = "gauss".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).expect("--trace-out takes a value").clone());
-                i += 2;
-            }
-            "--trace-app" => {
-                trace_app = args.get(i + 1).expect("--trace-app takes a value").clone();
-                i += 2;
-            }
-            a => {
-                out_path = a.to_string();
-                i += 1;
-            }
-        }
-    }
+    let flags = Flags::from_env(USAGE, &[], &["--trace-out", "--trace-app"], 1);
+    let out_path = flags
+        .positional()
+        .first()
+        .map_or("analyze_findings.json", String::as_str);
+    let trace_out = flags.value("--trace-out");
+    let trace_app = flags.value("--trace-app").unwrap_or("gauss");
 
     let findings = analyze_all();
     let mut errors = 0usize;
@@ -67,7 +56,7 @@ fn main() -> ExitCode {
     }
 
     let doc = findings_to_json(&findings);
-    if let Err(e) = std::fs::write(&out_path, &doc) {
+    if let Err(e) = std::fs::write(out_path, &doc) {
         eprintln!("cool-analyze: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -76,7 +65,7 @@ fn main() -> ExitCode {
     if let Some(base) = trace_out {
         let version = apps::Version::AffinityDistr;
         let cfg = apps::common::sim_config_small(8, version).with_trace();
-        let report = apps::driver::run_app(&trace_app, cfg, version, None);
+        let report = apps::driver::run_app(trace_app, cfg, version, None);
         let (trace, metrics) = apps::driver::trace_artifacts(&report);
         for (suffix, doc) in [("trace", &trace), ("metrics", &metrics)] {
             let path = format!("{base}.{suffix}.json");

@@ -20,6 +20,7 @@
 //! Exit status 1 on any violation or missing reduction.
 
 use apps::common::sim_config_small;
+use apps::driver::Flags;
 use apps::Version;
 use cool_analyze::apps_driver::version_key;
 use cool_analyze::{run_scenario, ScenarioResult};
@@ -188,10 +189,14 @@ fn to_json(scenarios: &[ScenarioResult], protocol: &[ProtoStats], sweep: &[AppRo
     out
 }
 
+const USAGE: &str = "usage: cool-check [OUTPUT_PATH]";
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "cool_check.json".to_string());
+    let flags = Flags::from_env(USAGE, &[], &[], 1);
+    let out_path = flags
+        .positional()
+        .first()
+        .map_or("cool_check.json", String::as_str);
 
     let mut failed = false;
 
@@ -256,7 +261,7 @@ fn main() {
     );
 
     let json = to_json(&scenarios, &protocol, &sweep);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("FAIL: writing {out_path}: {e}");
         failed = true;
     } else {

@@ -1,7 +1,7 @@
 //! # cool-analyze — dynamic analysis over the deterministic simulator
 //!
-//! The simulated COOL runtime (`cool-sim`) can record an [`RtEvent`] stream
-//! of everything scheduling-visible a run did: spawns, phase barriers, mutex
+//! The simulated COOL runtime (`cool-sim`) can record a `Full` [`Event`]
+//! stream of everything scheduling-visible a run did: spawns, phase barriers, mutex
 //! acquisitions, sync points, mirrored memory accesses, prefetches and
 //! migrations. Because the simulator is deterministic and runs task bodies
 //! atomically, the stream is totally ordered consistently with the
@@ -28,7 +28,7 @@
 //! the committed `analyze_findings.json` — the CI gate fails on any race,
 //! lock cycle, or change in lint findings.
 //!
-//! [`RtEvent`]: cool_core::RtEvent
+//! [`Event`]: cool_core::Event
 
 #![warn(missing_docs)]
 

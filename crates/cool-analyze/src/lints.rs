@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use cool_core::{ObjRef, ProcId, RtEvent, TaskUid};
+use cool_core::{Event, ObjRef, ProcId, TaskUid};
 
 /// Lint categories, used as stable machine-readable keys.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -84,7 +84,7 @@ struct PendingPrefetch {
 }
 
 /// Run the lint passes over the event stream.
-pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
+pub fn run_lints(events: &[Event]) -> Vec<Lint> {
     let mut labels: HashMap<TaskUid, &'static str> = HashMap::new();
     let mut prefetches: HashMap<TaskUid, Vec<PendingPrefetch>> = HashMap::new();
     // Every destination an object has been migrated to, in order.
@@ -94,14 +94,14 @@ pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
 
     for ev in events {
         match ev {
-            RtEvent::Spawn {
+            Event::Spawn {
                 child,
                 label: Some(l),
                 ..
             } => {
                 labels.insert(*child, l);
             }
-            RtEvent::TaskStart {
+            Event::TaskBegin {
                 task,
                 target,
                 object: Some(obj),
@@ -119,7 +119,7 @@ pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
                     ),
                 });
             }
-            RtEvent::Prefetch {
+            Event::Prefetch {
                 task, obj, bytes, ..
             } => {
                 prefetches.entry(*task).or_default().push(PendingPrefetch {
@@ -128,7 +128,7 @@ pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
                     touched: false,
                 });
             }
-            RtEvent::Access { task, obj, len, .. } => {
+            Event::Access { task, obj, len, .. } => {
                 if let Some(list) = prefetches.get_mut(task) {
                     let (a0, a1) = (obj.addr(), obj.addr() + len);
                     for p in list.iter_mut() {
@@ -139,7 +139,7 @@ pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
                     }
                 }
             }
-            RtEvent::TaskEnd { task, .. } => {
+            Event::TaskEnd { task, .. } => {
                 if let Some(list) = prefetches.remove(task) {
                     for p in list {
                         if !p.touched {
@@ -157,7 +157,7 @@ pub fn run_lints(events: &[RtEvent]) -> Vec<Lint> {
                     }
                 }
             }
-            RtEvent::Migrate { task, obj, to, .. } => {
+            Event::Migrate { task, obj, to, .. } => {
                 let dests = migrations.entry(*obj).or_default();
                 let revisits = dests.last() != Some(to) && dests.contains(to);
                 if revisits && !*thrash_reported.entry(*obj).or_default() {
@@ -199,16 +199,24 @@ pub fn counts(lints: &[Lint]) -> Vec<(&'static str, usize)> {
 mod tests {
     use super::*;
 
+    /// Task 1 begins on P2, placed on `target` by object 0x100's home.
+    fn begin(target: ProcId, object_home: Option<ProcId>) -> Event {
+        Event::TaskBegin {
+            task: TaskUid(1),
+            label: None,
+            proc: ProcId(2),
+            target,
+            hinted: true,
+            set: None,
+            object: Some(ObjRef(0x100)),
+            object_home,
+            time: 0,
+        }
+    }
+
     #[test]
     fn stale_hint_fires_on_home_target_mismatch() {
-        let evs = vec![RtEvent::TaskStart {
-            task: TaskUid(1),
-            proc: ProcId(2),
-            target: ProcId(2),
-            object: Some(ObjRef(0x100)),
-            object_home: Some(ProcId(5)),
-            time: 0,
-        }];
+        let evs = vec![begin(ProcId(2), Some(ProcId(5)))];
         let lints = run_lints(&evs);
         assert_eq!(lints.len(), 1);
         assert_eq!(lints[0].kind, LintKind::StaleObjectHint);
@@ -216,30 +224,24 @@ mod tests {
 
     #[test]
     fn fresh_hint_is_clean() {
-        let evs = vec![RtEvent::TaskStart {
-            task: TaskUid(1),
-            proc: ProcId(2),
-            target: ProcId(5),
-            object: Some(ObjRef(0x100)),
-            object_home: Some(ProcId(5)),
-            time: 0,
-        }];
+        let evs = vec![begin(ProcId(5), Some(ProcId(5)))];
         assert!(run_lints(&evs).is_empty());
     }
 
     #[test]
     fn unused_prefetch_reported_at_task_end() {
         let evs = vec![
-            RtEvent::Prefetch {
+            Event::Prefetch {
                 task: TaskUid(1),
                 obj: ObjRef(0x200),
                 bytes: 64,
                 cost: 10,
                 time: 0,
             },
-            RtEvent::TaskEnd {
+            Event::TaskEnd {
                 task: TaskUid(1),
                 proc: ProcId(0),
+                mem: None,
                 time: 5,
             },
         ];
@@ -251,14 +253,14 @@ mod tests {
     #[test]
     fn touched_prefetch_is_clean() {
         let evs = vec![
-            RtEvent::Prefetch {
+            Event::Prefetch {
                 task: TaskUid(1),
                 obj: ObjRef(0x200),
                 bytes: 64,
                 cost: 10,
                 time: 0,
             },
-            RtEvent::Access {
+            Event::Access {
                 task: TaskUid(1),
                 obj: ObjRef(0x220),
                 len: 8,
@@ -266,9 +268,10 @@ mod tests {
                 proc: ProcId(0),
                 time: 1,
             },
-            RtEvent::TaskEnd {
+            Event::TaskEnd {
                 task: TaskUid(1),
                 proc: ProcId(0),
+                mem: None,
                 time: 5,
             },
         ];
@@ -277,7 +280,7 @@ mod tests {
 
     #[test]
     fn migration_thrash_detects_revisit() {
-        let mig = |to: usize| RtEvent::Migrate {
+        let mig = |to: usize| Event::Migrate {
             task: TaskUid(1),
             obj: ObjRef(0x300),
             bytes: 4096,

@@ -1,7 +1,7 @@
 //! Lock-order graph construction and cycle detection.
 //!
 //! Every `with_mutex` chain declares an acquisition order; the runtime emits
-//! one [`RtEvent::MutexAcquire`] per lock in that order. An edge `a -> b`
+//! one [`Event::MutexAcquire`] per lock in that order. An edge `a -> b`
 //! means some task acquired `b` while holding `a`. A cycle in this graph is
 //! a deadlock hazard: the simulated runtime acquires a task's whole lock set
 //! atomically and therefore cannot actually deadlock, but a real COOL
@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use cool_core::{ObjRef, RtEvent, TaskUid};
+use cool_core::{Event, ObjRef, TaskUid};
 
 /// A `held -> acquired` edge with one witness task.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub struct LockReport {
 }
 
 /// Build the lock-order graph from the event stream and find cycles.
-pub fn analyze_locks(events: &[RtEvent]) -> LockReport {
+pub fn analyze_locks(events: &[Event]) -> LockReport {
     let mut labels: HashMap<TaskUid, &'static str> = HashMap::new();
     let mut held: HashMap<TaskUid, Vec<ObjRef>> = HashMap::new();
     // (from, to) -> witness; BTreeMap for deterministic edge order.
@@ -69,14 +69,14 @@ pub fn analyze_locks(events: &[RtEvent]) -> LockReport {
 
     for ev in events {
         match ev {
-            RtEvent::Spawn {
+            Event::Spawn {
                 child,
                 label: Some(l),
                 ..
             } => {
                 labels.insert(*child, l);
             }
-            RtEvent::MutexAcquire { task, lock, .. } => {
+            Event::MutexAcquire { task, lock, .. } => {
                 let stack = held.entry(*task).or_default();
                 for &h in stack.iter() {
                     if h != *lock {
@@ -87,7 +87,7 @@ pub fn analyze_locks(events: &[RtEvent]) -> LockReport {
                 }
                 stack.push(*lock);
             }
-            RtEvent::MutexRelease { task, lock, .. } => {
+            Event::MutexRelease { task, lock, .. } => {
                 if let Some(stack) = held.get_mut(task) {
                     if let Some(pos) = stack.iter().rposition(|l| l == lock) {
                         stack.remove(pos);
@@ -206,16 +206,16 @@ fn find_cycles(edges: &BTreeMap<(ObjRef, ObjRef), String>) -> Vec<LockCycle> {
 mod tests {
     use super::*;
 
-    fn acq(task: u64, lock: u64) -> RtEvent {
-        RtEvent::MutexAcquire {
+    fn acq(task: u64, lock: u64) -> Event {
+        Event::MutexAcquire {
             task: TaskUid(task),
             lock: ObjRef(lock),
             time: 0,
         }
     }
 
-    fn rel(task: u64, lock: u64) -> RtEvent {
-        RtEvent::MutexRelease {
+    fn rel(task: u64, lock: u64) -> Event {
+        Event::MutexRelease {
             task: TaskUid(task),
             lock: ObjRef(lock),
             time: 0,

@@ -1,4 +1,4 @@
-//! The service matrix: run the `cool-rt` work server with [`RtEvent`]
+//! The service matrix: run the `cool-rt` work server with full event
 //! recording and feed the request-lifecycle streams through the same three
 //! analysis passes as the batch apps.
 //!
@@ -8,9 +8,9 @@
 //!
 //! * `sharded` — single-worker domains: every request of a domain runs on
 //!   one worker thread, so worker program order (released by each
-//!   [`RtEvent::ReqOutcome`], acquired by the next
-//!   [`RtEvent::ReqAttempt`]) serialises all per-shard state accesses,
-//!   no matter how submissions interleave;
+//!   [`Event::RequestRetry`] or [`Event::RequestDone`], acquired by the
+//!   next [`Event::RequestAttempt`]) serialises all per-shard state
+//!   accesses, no matter how submissions interleave;
 //! * `sharded` + faulted — same, plus fault-injected transient failures:
 //!   a retried request re-runs on the same single worker, so the requeue
 //!   channel edge and worker order both cover its accesses;
@@ -21,9 +21,9 @@
 //! id, so admitted/attempt counts — and therefore the serialised findings
 //! — are byte-stable across runs and hosts.
 //!
-//! [`RtEvent`]: cool_core::RtEvent
-//! [`RtEvent::ReqAttempt`]: cool_core::RtEvent::ReqAttempt
-//! [`RtEvent::ReqOutcome`]: cool_core::RtEvent::ReqOutcome
+//! [`Event::RequestAttempt`]: cool_core::Event::RequestAttempt
+//! [`Event::RequestDone`]: cool_core::Event::RequestDone
+//! [`Event::RequestRetry`]: cool_core::Event::RequestRetry
 
 use cool_core::{AccessKind, FaultPlan};
 use cool_rt::{Request, ServeConfig, WorkServer};
@@ -77,12 +77,11 @@ fn run_scenario(
         srv.submit(build(id)).expect("service scenario must not shed");
     }
     srv.drain();
-    let events = srv.take_events();
     RunFindings {
         app: "serve".to_string(),
         version: version.to_string(),
         schedule: schedule.to_string(),
-        analysis: analyze_events(&events),
+        analysis: analyze_events(&srv.take_obs().events),
     }
 }
 
@@ -175,7 +174,7 @@ mod tests {
         }
         srv.drain();
         assert_eq!(gate.load(Ordering::SeqCst), 2, "rendezvous must complete");
-        let report = crate::detect_races(&srv.take_events());
+        let report = crate::detect_races(&srv.take_obs().events);
         assert!(
             !report.races.is_empty(),
             "concurrent same-block writes on distinct workers must race"

@@ -41,7 +41,7 @@ fn seeded_write_write_race_is_detected_and_mutex_fixes_it() {
                 ctx.spawn(t);
             }
         });
-        detect_races(&rt.take_events())
+        detect_races(&rt.take_obs().events)
     };
 
     let racy = run(false);
@@ -72,7 +72,7 @@ fn seeded_lock_order_cycle_is_detected_and_consistent_order_fixes_it() {
             };
             ctx.spawn(t);
         });
-        analyze_locks(&rt.take_events())
+        analyze_locks(&rt.take_obs().events)
     };
 
     let cyclic = run(true);
@@ -98,7 +98,7 @@ fn seeded_unused_prefetch_is_detected() {
             .with_label("reader"),
         );
     });
-    let lints = run_lints(&rt.take_events());
+    let lints = run_lints(&rt.take_obs().events);
     assert_eq!(lints.len(), 1, "{lints:?}");
     assert_eq!(lints[0].kind, LintKind::UnusedPrefetch);
     assert_eq!(lints[0].obj, wasted, "only the untouched prefetch is flagged");
@@ -113,7 +113,7 @@ fn seeded_migration_thrash_is_detected() {
         ctx.migrate(obj, 4096, 2);
         ctx.migrate(obj, 4096, 1); // back to a node it already left
     });
-    let lints = run_lints(&rt.take_events());
+    let lints = run_lints(&rt.take_obs().events);
     assert_eq!(lints.len(), 1, "{lints:?}");
     assert_eq!(lints[0].kind, LintKind::MigrationThrash);
 }
@@ -134,7 +134,7 @@ fn seeded_stale_object_hint_is_detected() {
         // ...but the object moves before the task is dispatched.
         ctx.migrate(obj, 256, 3);
     });
-    let lints = run_lints(&rt.take_events());
+    let lints = run_lints(&rt.take_obs().events);
     assert_eq!(lints.len(), 1, "{lints:?}");
     assert_eq!(lints[0].kind, LintKind::StaleObjectHint);
 }
@@ -233,7 +233,7 @@ proptest! {
             });
         }
 
-        let analysis = analyze_events(&rt.take_events());
+        let analysis = analyze_events(&rt.take_obs().events);
         prop_assert!(analysis.races.races.is_empty(), "{:?}",
             analysis.races.races.iter().map(|r| r.describe()).collect::<Vec<_>>());
         prop_assert!(analysis.locks.cycles.is_empty());

@@ -1,4 +1,4 @@
-//! Chrome-trace (Perfetto) JSON export of an observability stream.
+//! Chrome-trace (Perfetto) JSON export of a recorded event stream.
 //!
 //! The emitted document uses the classic `traceEvents` array format that
 //! both `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev)
@@ -15,14 +15,14 @@
 //! Timestamps pass through unscaled: virtual cycles from `cool-sim`,
 //! nanoseconds from `cool-rt`. Perfetto displays them as microseconds —
 //! the relative structure is what matters. Output is deterministic: events
-//! render in stream order with a fixed key order.
+//! render in stream order with a fixed key order. Only the trace events
+//! ([`Event::is_trace`]) render; a `Full` stream exports exactly like the
+//! `Trace` stream of the same run.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use cool_core::events::TaskUid;
-use cool_core::obs::{MemDelta, ObsEvent};
-use cool_core::ObjRef;
+use cool_core::{Event, MemDelta, ObjRef, TaskUid};
 
 fn esc(s: &str) -> String {
     s.chars()
@@ -85,7 +85,7 @@ fn push_instant(out: &mut String, name: &str, ts: u64, tid: usize, args: &str) {
 }
 
 /// Render `events` as a Chrome-trace JSON document.
-pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
+pub fn chrome_trace_json(events: &[Event]) -> String {
     let mut out = String::from("{\"traceEvents\": [\n");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -97,7 +97,8 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
     // Name the server tracks up front so Perfetto sorts them by id.
     let nprocs = events
         .iter()
-        .map(|e| e.proc().index() + 1)
+        .filter_map(|e| e.proc())
+        .map(|p| p.index() + 1)
         .max()
         .unwrap_or(0);
     for p in 0..nprocs {
@@ -111,14 +112,15 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
     let mut open: HashMap<TaskUid, Begin> = HashMap::new();
     for ev in events {
         match ev {
-            ObsEvent::TaskBegin {
+            Event::TaskBegin {
                 task,
                 label,
                 proc,
-                set,
+                target,
                 hinted,
-                on_target,
+                set,
                 time,
+                ..
             } => {
                 open.insert(
                     *task,
@@ -127,12 +129,12 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                         proc: proc.index(),
                         set: *set,
                         hinted: *hinted,
-                        on_target: *on_target,
+                        on_target: target == proc,
                         time: *time,
                     },
                 );
             }
-            ObsEvent::TaskEnd {
+            Event::TaskEnd {
                 task, mem, time, ..
             } => {
                 if let Some(b) = open.remove(task) {
@@ -140,7 +142,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     push_task_slice(&mut out, *task, &b, *time, *mem);
                 }
             }
-            ObsEvent::StealSuccess {
+            Event::StealSuccess {
                 thief,
                 victim,
                 token,
@@ -160,7 +162,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     ),
                 );
             }
-            ObsEvent::StealFail {
+            Event::StealFail {
                 thief,
                 probes,
                 time,
@@ -174,7 +176,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"probes\": {probes}"),
                 );
             }
-            ObsEvent::SlotLink {
+            Event::SlotLink {
                 proc,
                 slot,
                 token,
@@ -189,7 +191,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"slot\": {slot}, \"token\": \"{token}\""),
                 );
             }
-            ObsEvent::SlotDrain { proc, slot, time } => {
+            Event::SlotDrain { proc, slot, time } => {
                 sep(&mut out);
                 push_instant(
                     &mut out,
@@ -199,7 +201,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"slot\": {slot}"),
                 );
             }
-            ObsEvent::MutexWait {
+            Event::MutexWait {
                 task,
                 lock,
                 proc,
@@ -214,7 +216,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"task\": \"{task}\", \"lock\": \"{lock}\""),
                 );
             }
-            ObsEvent::Migrate {
+            Event::Migrate {
                 task,
                 obj,
                 bytes,
@@ -230,7 +232,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"task\": \"{task}\", \"obj\": \"{obj}\", \"bytes\": {bytes}"),
                 );
             }
-            ObsEvent::Rebalance {
+            Event::Rebalance {
                 obj,
                 to,
                 misses,
@@ -245,7 +247,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"obj\": \"{obj}\", \"misses\": {misses}"),
                 );
             }
-            ObsEvent::QueueDepth { proc, depth, time } => {
+            Event::QueueDepth { proc, depth, time } => {
                 sep(&mut out);
                 let _ = write!(
                     out,
@@ -254,7 +256,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     p = proc.index()
                 );
             }
-            ObsEvent::RequestAdmit {
+            Event::RequestAdmit {
                 req,
                 domain,
                 depth,
@@ -269,7 +271,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"req\": {req}, \"depth\": {depth}"),
                 );
             }
-            ObsEvent::RequestShed {
+            Event::RequestShed {
                 req,
                 domain,
                 depth,
@@ -284,12 +286,13 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"req\": {req}, \"depth\": {depth}"),
                 );
             }
-            ObsEvent::RequestRetry {
+            Event::RequestRetry {
                 req,
                 attempt,
                 backoff_ns,
                 domain,
                 time,
+                ..
             } => {
                 sep(&mut out);
                 push_instant(
@@ -300,13 +303,14 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     &format!("\"req\": {req}, \"attempt\": {attempt}, \"backoff_ns\": {backoff_ns}"),
                 );
             }
-            ObsEvent::RequestDone {
+            Event::RequestDone {
                 req,
                 attempts,
                 ok,
                 latency_ns,
                 domain,
                 time,
+                ..
             } => {
                 sep(&mut out);
                 push_instant(
@@ -320,6 +324,7 @@ pub fn chrome_trace_json(events: &[ObsEvent]) -> String {
                     ),
                 );
             }
+            _ => {}
         }
     }
     // Tasks still open at the end of the stream (clipped trace): close them
@@ -343,21 +348,23 @@ mod tests {
     #[test]
     fn renders_slices_instants_and_counters() {
         let events = vec![
-            ObsEvent::TaskBegin {
+            Event::TaskBegin {
                 task: TaskUid(1),
                 label: Some("gauss"),
                 proc: ProcId(0),
-                set: Some(ObjRef(0x40)),
+                target: ProcId(0),
                 hinted: true,
-                on_target: true,
+                set: Some(ObjRef(0x40)),
+                object: None,
+                object_home: None,
                 time: 10,
             },
-            ObsEvent::QueueDepth {
+            Event::QueueDepth {
                 proc: ProcId(0),
                 depth: 2,
                 time: 11,
             },
-            ObsEvent::TaskEnd {
+            Event::TaskEnd {
                 task: TaskUid(1),
                 proc: ProcId(0),
                 mem: Some(MemDelta {
@@ -369,7 +376,7 @@ mod tests {
                 }),
                 time: 50,
             },
-            ObsEvent::StealSuccess {
+            Event::StealSuccess {
                 thief: ProcId(1),
                 victim: ProcId(0),
                 token: Some(ObjRef(0x40)),
@@ -392,13 +399,15 @@ mod tests {
 
     #[test]
     fn unended_tasks_still_render() {
-        let events = vec![ObsEvent::TaskBegin {
+        let events = vec![Event::TaskBegin {
             task: TaskUid(3),
             label: None,
             proc: ProcId(1),
-            set: None,
+            target: ProcId(0),
             hinted: false,
-            on_target: false,
+            set: None,
+            object: None,
+            object_home: None,
             time: 7,
         }];
         let json = chrome_trace_json(&events);

@@ -1,8 +1,9 @@
-//! Exporters for the scheduler observability stream.
+//! Exporters for the recorded event stream.
 //!
-//! `cool-core::obs` defines the event vocabulary and the per-worker ring
-//! recorder; this crate turns a drained [`ObsTrace`](cool_core::ObsTrace)
-//! into artifacts a human can open:
+//! `cool-core::events` defines the event vocabulary and the per-worker ring
+//! recorder; this crate turns a drained [`EventLog`](cool_core::EventLog)
+//! into artifacts a human can open (reading its trace events and ignoring
+//! the rest):
 //!
 //! * [`chrome`] — a Chrome-trace (Perfetto-loadable) JSON document: one
 //!   duration slice per task, instants for steals / slot transitions /

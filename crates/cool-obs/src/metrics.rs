@@ -1,5 +1,6 @@
-//! The `cool-metrics-v1` summary: a deterministic, byte-stable digest of an
-//! observability stream.
+//! The `cool-metrics-v1` summary: a deterministic, byte-stable digest of a
+//! recorded event stream (its trace events; the `Full`-only analyzer events
+//! are ignored).
 //!
 //! The summary condenses a trace into the quantities the paper's analysis
 //! turns on: how often steals succeed and how much they move (batch-size
@@ -18,9 +19,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use cool_core::events::TaskUid;
-use cool_core::obs::{MemDelta, ObsEvent, ObsTrace};
-use cool_core::ObjRef;
+use cool_core::{Event, EventLog, MemDelta, ObjRef, TaskUid};
 
 /// Schema tag carried by every summary document.
 pub const METRICS_SCHEMA: &str = "cool-metrics-v1";
@@ -157,7 +156,7 @@ fn depth_bucket(depth: usize) -> u64 {
 
 impl MetricsSummary {
     /// Digest a drained trace.
-    pub fn from_trace(trace: &ObsTrace) -> Self {
+    pub fn from_trace(trace: &EventLog) -> Self {
         let mut m = MetricsSummary {
             dropped: trace.dropped,
             ..MetricsSummary::default()
@@ -166,18 +165,23 @@ impl MetricsSummary {
         let mut begun: HashMap<TaskUid, Option<ObjRef>> = HashMap::new();
         for ev in &trace.events {
             match ev {
-                ObsEvent::TaskBegin {
-                    task, set, hinted, on_target, ..
+                Event::TaskBegin {
+                    task,
+                    proc,
+                    target,
+                    hinted,
+                    set,
+                    ..
                 } => {
                     if *hinted {
                         m.hinted += 1;
-                        if *on_target {
+                        if target == proc {
                             m.on_target += 1;
                         }
                     }
                     begun.insert(*task, *set);
                 }
-                ObsEvent::TaskEnd { task, mem, .. } => {
+                Event::TaskEnd { task, mem, .. } => {
                     m.tasks += 1;
                     let set = begun.remove(task).flatten();
                     let row = m.sets.entry(set).or_default();
@@ -186,7 +190,7 @@ impl MetricsSummary {
                         row.mem.accumulate(delta);
                     }
                 }
-                ObsEvent::StealSuccess { token, ntasks, .. } => {
+                Event::StealSuccess { token, ntasks, .. } => {
                     m.steal_successes += 1;
                     if token.is_some() {
                         m.sets_stolen += 1;
@@ -194,25 +198,26 @@ impl MetricsSummary {
                     m.tasks_stolen += *ntasks as u64;
                     *m.batch_sizes.entry(*ntasks).or_default() += 1;
                 }
-                ObsEvent::StealFail { .. } => m.steal_failures += 1,
-                ObsEvent::SlotLink { .. } => m.slot_links += 1,
-                ObsEvent::SlotDrain { .. } => m.slot_drains += 1,
-                ObsEvent::MutexWait { .. } => m.mutex_waits += 1,
-                ObsEvent::Migrate { .. } => m.migrations += 1,
-                ObsEvent::Rebalance { .. } => m.rebalances += 1,
-                ObsEvent::QueueDepth { depth, .. } => {
+                Event::StealFail { .. } => m.steal_failures += 1,
+                Event::SlotLink { .. } => m.slot_links += 1,
+                Event::SlotDrain { .. } => m.slot_drains += 1,
+                Event::MutexWait { .. } => m.mutex_waits += 1,
+                Event::Migrate { .. } => m.migrations += 1,
+                Event::Rebalance { .. } => m.rebalances += 1,
+                Event::QueueDepth { depth, .. } => {
                     *m.queue_depth.entry(depth_bucket(*depth)).or_default() += 1;
                 }
-                ObsEvent::RequestAdmit { .. } => m.req_admitted += 1,
-                ObsEvent::RequestShed { .. } => m.req_shed += 1,
-                ObsEvent::RequestRetry { .. } => m.req_retries += 1,
-                ObsEvent::RequestDone { ok, .. } => {
+                Event::RequestAdmit { .. } => m.req_admitted += 1,
+                Event::RequestShed { .. } => m.req_shed += 1,
+                Event::RequestRetry { .. } => m.req_retries += 1,
+                Event::RequestDone { ok, .. } => {
                     if *ok {
                         m.req_completed += 1;
                     } else {
                         m.req_failed += 1;
                     }
                 }
+                _ => {}
             }
         }
         m
@@ -434,7 +439,7 @@ mod tests {
     use super::*;
     use cool_core::ProcId;
 
-    fn sample_trace() -> ObsTrace {
+    fn sample_trace() -> EventLog {
         let set_a = Some(ObjRef(0x100));
         let mem = |refs, l1, rem| MemDelta {
             refs,
@@ -443,50 +448,54 @@ mod tests {
             local_misses: refs - l1 - rem,
             remote_misses: rem,
         };
-        ObsTrace {
+        EventLog {
             events: vec![
-                ObsEvent::TaskBegin {
+                Event::TaskBegin {
                     task: TaskUid(1),
                     label: Some("t"),
                     proc: ProcId(0),
-                    set: set_a,
+                    target: ProcId(0),
                     hinted: true,
-                    on_target: true,
+                    set: set_a,
+                    object: None,
+                    object_home: None,
                     time: 0,
                 },
-                ObsEvent::QueueDepth {
+                Event::QueueDepth {
                     proc: ProcId(0),
                     depth: 5,
                     time: 1,
                 },
-                ObsEvent::TaskEnd {
+                Event::TaskEnd {
                     task: TaskUid(1),
                     proc: ProcId(0),
                     mem: Some(mem(10, 6, 2)),
                     time: 9,
                 },
-                ObsEvent::TaskBegin {
+                Event::TaskBegin {
                     task: TaskUid(2),
                     label: None,
                     proc: ProcId(1),
-                    set: None,
+                    target: ProcId(0),
                     hinted: false,
-                    on_target: false,
+                    set: None,
+                    object: None,
+                    object_home: None,
                     time: 10,
                 },
-                ObsEvent::StealSuccess {
+                Event::StealSuccess {
                     thief: ProcId(1),
                     victim: ProcId(0),
                     token: set_a,
                     ntasks: 2,
                     time: 11,
                 },
-                ObsEvent::StealFail {
+                Event::StealFail {
                     thief: ProcId(0),
                     probes: 1,
                     time: 12,
                 },
-                ObsEvent::TaskEnd {
+                Event::TaskEnd {
                     task: TaskUid(2),
                     proc: ProcId(1),
                     mem: Some(mem(4, 1, 1)),
@@ -625,7 +634,7 @@ mod tests {
     #[test]
     fn rebalance_events_are_digested() {
         let mut trace = sample_trace();
-        trace.events.push(ObsEvent::Rebalance {
+        trace.events.push(Event::Rebalance {
             obj: ObjRef(0x2000),
             to: ProcId(4),
             misses: 12,

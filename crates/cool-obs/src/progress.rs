@@ -1,7 +1,7 @@
-//! A progress/ETA meter over the [`ObsEvent`] stream.
+//! A progress/ETA meter over the [`Event`] stream.
 //!
 //! The `cool-repro` sweep engine models each matrix point as a task on the
-//! observability stream (a [`ObsEvent::TaskBegin`] / [`ObsEvent::TaskEnd`]
+//! event stream (a [`Event::TaskBegin`] / [`Event::TaskEnd`]
 //! pair stamped with host milliseconds), which buys two things at once: the
 //! sweep itself can be exported as a Perfetto trace through
 //! [`chrome_trace_json`](crate::chrome_trace_json), and this meter can fold
@@ -9,11 +9,11 @@
 //! plain incremental state over event values — no clocks of its own — so it
 //! is deterministic and unit-testable with synthetic timestamps.
 
-use cool_core::obs::ObsEvent;
+use cool_core::Event;
 
-/// Incremental progress state fed one [`ObsEvent`] at a time.
+/// Incremental progress state fed one [`Event`] at a time.
 ///
-/// Only [`ObsEvent::TaskEnd`] advances completion; every other event is
+/// Only [`Event::TaskEnd`] advances completion; every other event is
 /// ignored, so the meter can share a stream with richer instrumentation.
 /// Lines are rate-limited to one per `min_interval_ms` except the final
 /// completion line, which always prints.
@@ -51,8 +51,8 @@ impl ProgressMeter {
 
     /// Fold one event; returns a progress line when one is due (a task
     /// completed and the rate limit allows it, or the stream just finished).
-    pub fn on_event(&mut self, event: &ObsEvent) -> Option<String> {
-        let ObsEvent::TaskEnd { time, .. } = event else {
+    pub fn on_event(&mut self, event: &Event) -> Option<String> {
+        let Event::TaskEnd { time, .. } = event else {
             return None;
         };
         self.done += 1;
@@ -101,8 +101,8 @@ mod tests {
     use super::*;
     use cool_core::{ProcId, TaskUid};
 
-    fn end(t: u64) -> ObsEvent {
-        ObsEvent::TaskEnd {
+    fn end(t: u64) -> Event {
+        Event::TaskEnd {
             task: TaskUid(1),
             proc: ProcId(0),
             mem: None,
@@ -110,14 +110,16 @@ mod tests {
         }
     }
 
-    fn begin(t: u64) -> ObsEvent {
-        ObsEvent::TaskBegin {
+    fn begin(t: u64) -> Event {
+        Event::TaskBegin {
             task: TaskUid(1),
             label: Some("x"),
             proc: ProcId(0),
-            set: None,
+            target: ProcId(0),
             hinted: false,
-            on_target: false,
+            set: None,
+            object: None,
+            object_home: None,
             time: t,
         }
     }

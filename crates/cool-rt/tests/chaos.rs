@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use cool_core::obs::ObsEvent;
+use cool_core::Event;
 use cool_rt::{
     AffinitySpec, FaultPlan, ProcId, RtConfig, RtTask, Runtime, ScopeError, StealPolicy,
 };
@@ -251,7 +251,7 @@ fn stall_dump_names_the_in_flight_task_and_its_mutex() {
         .events
         .iter()
         .find_map(|e| match e {
-            ObsEvent::TaskBegin {
+            Event::TaskBegin {
                 task,
                 label: Some("holder"),
                 ..

@@ -1,11 +1,11 @@
-//! The observability layer on the threaded backend: the same `ObsEvent`
+//! The event stream on the threaded backend: the same `Event`
 //! vocabulary as the simulator, stamped with wall-clock nanoseconds, with
 //! the recording gated so a runtime built without tracing emits nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cool_core::obs::ObsEvent;
+use cool_core::Event;
 use cool_core::{AffinitySpec, ObjRef, ProcId, TaskUid};
 use cool_rt::{RtConfig, RtTask, Runtime};
 
@@ -68,12 +68,12 @@ fn trace_agrees_with_scheduler_statistics() {
     let begins = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::TaskBegin { .. }))
+        .filter(|e| matches!(e, Event::TaskBegin { .. }))
         .count() as u64;
     let ends = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::TaskEnd { .. }))
+        .filter(|e| matches!(e, Event::TaskEnd { .. }))
         .count() as u64;
     assert_eq!(begins, st.executed);
     assert_eq!(ends, st.executed);
@@ -82,7 +82,7 @@ fn trace_agrees_with_scheduler_statistics() {
         .events
         .iter()
         .filter_map(|e| match e {
-            ObsEvent::StealSuccess { ntasks, .. } => Some(*ntasks as u64),
+            Event::StealSuccess { ntasks, .. } => Some(*ntasks as u64),
             _ => None,
         })
         .sum();
@@ -90,26 +90,26 @@ fn trace_agrees_with_scheduler_statistics() {
     let fails = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::StealFail { .. }))
+        .filter(|e| matches!(e, Event::StealFail { .. }))
         .count() as u64;
     assert_eq!(fails, st.failed_steals);
     let waits = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::MutexWait { .. }))
+        .filter(|e| matches!(e, Event::MutexWait { .. }))
         .count() as u64;
     assert_eq!(waits, st.mutex_blocks, "one wait event per first block");
     assert!(
         trace
             .events
             .iter()
-            .any(|e| matches!(e, ObsEvent::Migrate { to, .. } if *to == ProcId(1))),
+            .any(|e| matches!(e, Event::Migrate { to, .. } if *to == ProcId(1))),
         "migration must be traced"
     );
 
     // This backend has no simulated memory system to attribute.
     for ev in &trace.events {
-        if let ObsEvent::TaskEnd { mem, .. } = ev {
+        if let Event::TaskEnd { mem, .. } = ev {
             assert!(mem.is_none());
         }
     }
@@ -123,10 +123,10 @@ fn begin_end_pairs_match_per_task() {
     let mut open = std::collections::HashSet::new();
     for ev in &trace.events {
         match ev {
-            ObsEvent::TaskBegin { task, .. } => {
+            Event::TaskBegin { task, .. } => {
                 assert!(open.insert(*task), "double begin for {task:?}");
             }
-            ObsEvent::TaskEnd { task, .. } => {
+            Event::TaskEnd { task, .. } => {
                 // Begin and end are emitted from the same worker thread, so
                 // they land in one ring in order; the global merge preserves
                 // per-ring order.
@@ -157,7 +157,7 @@ fn task_uids_are_distinct_and_nonzero_across_servers() {
     assert!(rt.server_stats().iter().all(|s| s.spawned == 32));
     let mut uids = std::collections::HashSet::new();
     for ev in &rt.take_obs().events {
-        if let ObsEvent::TaskBegin { task, .. } = ev {
+        if let Event::TaskBegin { task, .. } = ev {
             assert_ne!(*task, TaskUid::ROOT, "a task took the root's uid");
             assert!(uids.insert(*task), "uid {task} handed out twice");
         }
@@ -173,7 +173,7 @@ fn labeled_sets_survive_into_the_trace() {
     let mut labels = std::collections::HashSet::new();
     let mut sets = std::collections::HashSet::new();
     for ev in &trace.events {
-        if let ObsEvent::TaskBegin { label, set, .. } = ev {
+        if let Event::TaskBegin { label, set, .. } = ev {
             if let Some(l) = label {
                 labels.insert(*l);
             }

@@ -67,8 +67,11 @@ mod sched;
 pub mod task;
 
 pub use report::RunReport;
-pub use runtime::{SimConfig, SimError, SimRuntime, TraceEvent};
+pub use runtime::{SimConfig, SimError, SimRuntime};
 pub use task::{Task, TaskCtx};
 
-pub use cool_core::{AccessKind, AffinitySpec, FaultPlan, ObjRef, ProcId, RtEvent, StealPolicy, TaskUid};
+pub use cool_core::{
+    AccessKind, AffinitySpec, Event, EventLog, FaultPlan, ObjRef, ProcId, Recording, StealPolicy,
+    TaskUid,
+};
 pub use dash_sim::{MachineConfig, MissBreakdown};

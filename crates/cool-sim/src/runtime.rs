@@ -2,10 +2,10 @@
 
 use std::collections::HashMap;
 
-use cool_core::obs::{MemDelta, ObsEvent, ObsRecorder, ObsTrace};
 use cool_core::{
-    AdaptiveConfig, AffinityKind, ClusterId, FaultPlan, NodeId, ObjRef, PolicyFeedback, ProcId,
-    RebalanceConfig, RtEvent, SchedStats, StealPolicy, TaskUid, Topology, VictimOrders,
+    AdaptiveConfig, AffinityKind, ClusterId, Event, EventLog, FaultPlan, MemDelta, NodeId, ObjRef,
+    PolicyFeedback, ProcId, RebalanceConfig, Recorder, Recording, SchedStats, StealPolicy,
+    TaskUid, Topology, VictimOrders,
 };
 use dash_sim::{Machine, MachineConfig};
 
@@ -74,15 +74,13 @@ pub struct SimConfig {
     /// Cycles charged to a creator per spawn (task creation is lightweight
     /// in COOL; this covers descriptor setup + enqueue).
     pub spawn_cost: u64,
-    /// Record an [`RtEvent`] stream for `cool-analyze` (happens-before race
-    /// detection, lock-order audit, affinity lints). Off by default: when
-    /// disabled the instrumentation is a branch on a `None`.
-    pub record_events: bool,
-    /// Record the scheduler observability stream ([`ObsEvent`]): task
-    /// begin/end with PerfMonitor deltas, steals, slot transitions, mutex
-    /// waits, queue-depth samples. Off by default; recording is pure (it
-    /// never changes simulated cycles) and zero-cost when disabled.
-    pub record_trace: bool,
+    /// How much of the [`Event`] stream to record: `Trace` keeps the
+    /// scheduler-observability facts (task begin/end with PerfMonitor
+    /// deltas, steals, slot transitions, mutex waits, queue-depth samples);
+    /// `Full` adds the spawn, phase, lock, access and sync edges
+    /// `cool-analyze` consumes. `Off` by default; recording is pure (it
+    /// never changes simulated cycles) and a single branch when off.
+    pub recording: Recording,
     /// Validate the machine's coherence invariants (SWMR, directory/cache
     /// agreement, lost invalidations, tracked-count conservation, lookaside
     /// soundness) on every coherence transition, plus a full-state sweep at
@@ -116,8 +114,7 @@ impl SimConfig {
             steal_xfer_cost: 100,
             mutex_retry_cost: 20,
             spawn_cost: 20,
-            record_events: false,
-            record_trace: false,
+            recording: Recording::Off,
             check_coherence: false,
             adaptive: None,
             rebalance: None,
@@ -130,15 +127,16 @@ impl SimConfig {
         self
     }
 
-    /// Enable event recording (see [`SimConfig::record_events`]).
+    /// Record every event (`Recording::Full`, see [`SimConfig::recording`]).
     pub fn with_events(mut self) -> Self {
-        self.record_events = true;
+        self.recording = Recording::Full;
         self
     }
 
-    /// Enable observability tracing (see [`SimConfig::record_trace`]).
+    /// Record the trace events (`Recording::Trace`, see
+    /// [`SimConfig::recording`]).
     pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
+        self.recording = Recording::Trace;
         self
     }
 
@@ -209,22 +207,6 @@ struct SimTask {
     blocked_before: bool,
 }
 
-/// One executed task in the schedule trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Server the task ran on.
-    pub proc: ProcId,
-    /// The task's label (or "task").
-    pub label: &'static str,
-    /// Dispatch-complete virtual time.
-    pub start: u64,
-    /// Completion virtual time.
-    pub end: u64,
-    /// Whether the task arrived by stealing... reported as: ran on its
-    /// hinted target server.
-    pub on_target: bool,
-}
-
 /// The simulated COOL runtime. See the crate docs for the execution model.
 pub struct SimRuntime {
     cfg: SimConfig,
@@ -248,18 +230,14 @@ pub struct SimRuntime {
     /// Consecutive blocked-rotation dispatches per server, plus the earliest
     /// lock-release time seen, to jump the clock over a convoy.
     rotations: Vec<(usize, u64)>,
-    /// Schedule trace, when enabled.
-    trace: Option<Vec<TraceEvent>>,
     /// Fault-injection plan (one plan unit = one cycle), if set.
     faults: Option<FaultPlan>,
     /// Global spawn counter for the plan's fail-spawn indices.
     fault_spawns: u64,
     /// Per-server executed-dispatch counters for the plan's stalls.
     fault_dispatches: Vec<u64>,
-    /// Analyzer event stream, when recording is enabled.
-    events: Option<Vec<RtEvent>>,
-    /// Observability recorder, when tracing is enabled.
-    obs: Option<ObsRecorder>,
+    /// Event recorder (absent when `SimConfig::recording` is `Off`).
+    recorder: Option<Recorder>,
     /// Next task uid (0 is the root context).
     next_uid: u64,
     /// Phase counter for `PhaseBegin`/`PhaseEnd` events.
@@ -298,16 +276,10 @@ impl SimRuntime {
             pending: 0,
             failed_scans: vec![0; n],
             rotations: vec![(0, u64::MAX); n],
-            trace: None,
             faults: None,
             fault_spawns: 0,
             fault_dispatches: vec![0; n],
-            events: if cfg.record_events { Some(Vec::new()) } else { None },
-            obs: if cfg.record_trace {
-                Some(ObsRecorder::with_default_capacity(n))
-            } else {
-                None
-            },
+            recorder: Recorder::new(cfg.recording, n),
             next_uid: 1,
             phase_seq: 0,
             feedback: cfg
@@ -318,70 +290,32 @@ impl SimRuntime {
         }
     }
 
-    /// Start recording the analyzer event stream (equivalent to constructing
-    /// with [`SimConfig::record_events`] set).
-    pub fn enable_events(&mut self) {
-        if self.events.is_none() {
-            self.events = Some(Vec::new());
-        }
-    }
-
-    /// Whether the event stream is being recorded.
-    pub(crate) fn recording(&self) -> bool {
-        self.events.is_some()
-    }
-
-    /// Append an event to the stream (no-op when recording is off).
-    pub(crate) fn emit(&mut self, ev: RtEvent) {
-        if let Some(buf) = &mut self.events {
-            buf.push(ev);
-        }
-    }
-
-    /// The recorded event stream (empty if recording was never enabled).
-    pub fn events(&self) -> &[RtEvent] {
-        self.events.as_deref().unwrap_or(&[])
-    }
-
-    /// Take ownership of the recorded event stream, leaving recording
-    /// enabled with an empty buffer if it was on.
-    pub fn take_events(&mut self) -> Vec<RtEvent> {
-        match &mut self.events {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        }
-    }
-
-    /// Start recording the observability stream (equivalent to constructing
-    /// with [`SimConfig::record_trace`] set).
-    pub fn enable_obs(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(ObsRecorder::with_default_capacity(self.topology.nservers));
-        }
-    }
-
-    /// Whether the observability stream is being recorded.
+    /// Whether any events are being recorded.
     #[inline]
-    pub(crate) fn obs_on(&self) -> bool {
-        self.obs.is_some()
+    pub(crate) fn recording(&self) -> bool {
+        self.recorder.is_some()
     }
 
-    /// Record an observability event (no-op when tracing is off). Events
-    /// are ringed under the processor they are attributed to; the recorder's
+    /// Whether every event is being recorded (`Recording::Full`): the gate
+    /// for events that are costly to build and only the analyzer reads.
+    #[inline]
+    pub(crate) fn full(&self) -> bool {
+        self.cfg.recording == Recording::Full
+    }
+
+    /// Record an event (no-op when recording is off). Trace events are
+    /// ringed under the processor they are attributed to; the recorder's
     /// global sequence keeps the merged order.
-    pub(crate) fn obs_emit(&self, ev: ObsEvent) {
-        if let Some(rec) = &self.obs {
-            rec.record(ev.proc().index(), ev);
+    pub(crate) fn emit(&self, ev: Event) {
+        if let Some(rec) = &self.recorder {
+            rec.record(ev.proc().map_or(0, ProcId::index), ev);
         }
     }
 
-    /// Drain the recorded observability stream (empty if tracing was never
-    /// enabled). Recording stays on with empty rings.
-    pub fn take_obs(&mut self) -> ObsTrace {
-        match &self.obs {
-            Some(rec) => rec.drain(),
-            None => ObsTrace::default(),
-        }
+    /// Drain the recorded event stream (empty when recording is off).
+    /// Recording stays on with empty rings.
+    pub fn take_obs(&mut self) -> EventLog {
+        self.recorder.as_ref().map(Recorder::drain).unwrap_or_default()
     }
 
     /// Perturb subsequent scheduling with a deterministic fault plan (one
@@ -391,18 +325,6 @@ impl SimRuntime {
     /// results stay correct and two same-seed runs are bit-identical.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
-    }
-
-    /// Start recording a schedule trace: every executed task is logged with
-    /// its server, label and virtual time interval. Useful for visualising
-    /// back-to-back affinity-set service and steal-induced migration.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded trace (empty if tracing was never enabled).
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Number of servers (= processors).
@@ -501,8 +423,8 @@ impl SimRuntime {
         };
         let uid = TaskUid(self.next_uid);
         self.next_uid += 1;
-        if self.recording() {
-            self.emit(RtEvent::Spawn {
+        if self.full() {
+            self.emit(Event::Spawn {
                 parent,
                 child: uid,
                 label: task.label,
@@ -536,7 +458,7 @@ impl SimRuntime {
                 let up = self.queues.push_affinity(p.index(), tok, kind, st);
                 if up.newly_linked {
                     if let Some(slot) = up.slot {
-                        self.obs_emit(ObsEvent::SlotLink {
+                        self.emit(Event::SlotLink {
                             proc: p,
                             slot,
                             token: tok,
@@ -572,7 +494,7 @@ impl SimRuntime {
     ) -> Result<(), SimError> {
         self.phase_seq += 1;
         let seq = self.phase_seq;
-        self.emit(RtEvent::PhaseBegin { seq });
+        self.emit(Event::PhaseBegin { seq });
         self.spawn(Task::new(seed).with_label("phase-seed"));
         let out = self.drain();
         // Phase boundary: run the contention engine's calendar dry so a
@@ -587,7 +509,7 @@ impl SimRuntime {
             // conservation, reverse tag agreement) on the settled state.
             self.machine.check_full();
         }
-        self.emit(RtEvent::PhaseEnd { seq });
+        self.emit(Event::PhaseEnd { seq });
         out
     }
 
@@ -614,8 +536,8 @@ impl SimRuntime {
     /// Pop and run (or rotate) the next local task on `p`.
     fn dispatch(&mut self, p: ProcId) -> Result<(), SimError> {
         let pi = p.index();
-        if self.obs_on() {
-            self.obs_emit(ObsEvent::QueueDepth {
+        if self.recording() {
+            self.emit(Event::QueueDepth {
                 proc: p,
                 depth: self.queues.queue(pi).len(),
                 time: self.clocks[pi],
@@ -634,7 +556,7 @@ impl SimRuntime {
         };
         if popped.drained {
             if let Some(slot) = popped.slot {
-                self.obs_emit(ObsEvent::SlotDrain {
+                self.emit(Event::SlotDrain {
                     proc: p,
                     slot,
                     time: self.clocks[pi],
@@ -669,7 +591,7 @@ impl SimRuntime {
                 // Blocked: set the task aside (back of its queue) and let the
                 // server pick other work. COOL blocks the task, not the
                 // server.
-                if self.obs_on() {
+                if self.recording() {
                     // Attribute the wait to the lock gating entry (the one
                     // released last).
                     let lock = st
@@ -679,7 +601,7 @@ impl SimRuntime {
                         .copied()
                         .max_by_key(|l| *self.locks.get(l).unwrap_or(&0))
                         .expect("blocked task must declare a mutex");
-                    self.obs_emit(ObsEvent::MutexWait {
+                    self.emit(Event::MutexWait {
                         task: st.uid,
                         lock,
                         proc: p,
@@ -748,8 +670,8 @@ impl SimRuntime {
         for (obj, bytes) in std::mem::take(&mut st.task.prefetch) {
             let cost = self.machine.prefetch(p, obj, bytes, start + prefetch_cycles);
             prefetch_cycles += cost;
-            if self.recording() {
-                self.emit(RtEvent::Prefetch {
+            if self.full() {
+                self.emit(Event::Prefetch {
                     task: st.uid,
                     obj,
                     bytes,
@@ -760,46 +682,40 @@ impl SimRuntime {
         }
         self.clocks[pi] += prefetch_cycles;
         let start = self.clocks[pi];
-        if self.recording() {
-            // Only when the object actually drove placement (no PROCESSOR
-            // override): then `target == home(object)` held at spawn time and
-            // a mismatch at dispatch means the object migrated in between.
+        // Task begin, plus a snapshot of the processor's reference counters
+        // so the end event can carry the body's exact cache/local/remote
+        // delta (the counters only move inside `Machine::reference`, i.e.
+        // inside task bodies).
+        let ref_snap = if self.recording() {
+            // The object is reported only when it actually drove placement
+            // (no PROCESSOR override): then `target == home(object)` held at
+            // spawn time and a mismatch at dispatch means the object
+            // migrated in between.
             let object = if st.task.affinity.processor.is_none() {
                 st.task.affinity.object
             } else {
                 None
             };
-            let object_home = object.map(|o| self.machine.home_proc(o));
-            self.emit(RtEvent::TaskStart {
-                task: st.uid,
-                proc: p,
-                target: st.target,
-                object,
-                object_home,
-                time: start,
-            });
-            for &lock in &mutexes {
-                self.emit(RtEvent::MutexAcquire {
-                    task: st.uid,
-                    lock,
-                    time: start,
-                });
-            }
-        }
-        // Observability: task begin, plus a snapshot of the processor's
-        // reference counters so the end event can carry the body's exact
-        // cache/local/remote delta (the counters only move inside
-        // `Machine::reference`, i.e. inside task bodies).
-        let ref_snap = if self.obs_on() {
-            self.obs_emit(ObsEvent::TaskBegin {
+            self.emit(Event::TaskBegin {
                 task: st.uid,
                 label: st.task.label,
                 proc: p,
-                set: st.task.affinity.queue_token(),
+                target: st.target,
                 hinted: st.hinted,
-                on_target: st.target == p,
+                set: st.task.affinity.queue_token(),
+                object,
+                object_home: object.map(|o| self.machine.home_proc(o)),
                 time: start,
             });
+            if self.full() {
+                for &lock in &mutexes {
+                    self.emit(Event::MutexAcquire {
+                        task: st.uid,
+                        lock,
+                        time: start,
+                    });
+                }
+            }
             Some(self.machine.monitor().proc(pi).ref_mix())
         } else {
             None
@@ -818,31 +734,24 @@ impl SimRuntime {
             task: st.uid,
             cycles: 0,
         };
-        let label = st.task.label;
-        let hinted_target = st.target;
         body(&mut ctx);
         let duration = ctx.cycles;
         self.clocks[pi] = start + duration;
         for &lock_obj in &mutexes {
             self.locks.insert(lock_obj, start + duration);
         }
-        if self.recording() {
-            for &lock in mutexes.iter().rev() {
-                self.emit(RtEvent::MutexRelease {
-                    task: st.uid,
-                    lock,
-                    time: start + duration,
-                });
-            }
-            self.emit(RtEvent::TaskEnd {
-                task: st.uid,
-                proc: p,
-                time: start + duration,
-            });
-        }
         if let Some(snap) = ref_snap {
+            if self.full() {
+                for &lock in mutexes.iter().rev() {
+                    self.emit(Event::MutexRelease {
+                        task: st.uid,
+                        lock,
+                        time: start + duration,
+                    });
+                }
+            }
             let now = self.machine.monitor().proc(pi).ref_mix();
-            self.obs_emit(ObsEvent::TaskEnd {
+            self.emit(Event::TaskEnd {
                 task: st.uid,
                 proc: p,
                 mem: Some(MemDelta {
@@ -853,15 +762,6 @@ impl SimRuntime {
                     remote_misses: now[4] - snap[4],
                 }),
                 time: start + duration,
-            });
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent {
-                proc: p,
-                label: label.unwrap_or("task"),
-                start,
-                end: start + duration,
-                on_target: hinted_target == p,
             });
         }
         // Task-boundary feedback sample: controls only ever change here
@@ -962,7 +862,7 @@ impl SimRuntime {
             self.clocks[li] += cost;
             self.machine.monitor_mut().proc_mut(li).overhead_cycles += cost;
             self.stats.rebalanced_pages += 1;
-            self.obs_emit(ObsEvent::Rebalance {
+            self.emit(Event::Rebalance {
                 obj,
                 to: lead,
                 misses,
@@ -1053,8 +953,8 @@ impl SimRuntime {
                     self.clocks[pi] += cost;
                     self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
                     self.failed_scans[pi] = 0;
-                    if self.obs_on() {
-                        self.obs_emit(ObsEvent::StealSuccess {
+                    if self.recording() {
+                        self.emit(Event::StealSuccess {
                             thief: p,
                             victim: v,
                             token: stolen_token,
@@ -1081,8 +981,8 @@ impl SimRuntime {
             if let Some(fb) = self.feedback.as_mut() {
                 fb.note_scan(true);
             }
-            if self.obs_on() {
-                self.obs_emit(ObsEvent::StealFail {
+            if self.recording() {
+                self.emit(Event::StealFail {
                     thief: p,
                     probes: probes as usize,
                     time: self.clocks[pi],
@@ -1345,12 +1245,55 @@ mod tests {
         assert!(s.adherence() > 0.0);
     }
 
+    /// One executed task, paired from its begin/end events.
+    struct Interval {
+        proc: ProcId,
+        label: &'static str,
+        start: u64,
+        end: u64,
+        on_target: bool,
+    }
+
+    /// Pair a recorded stream's task begin/end events into intervals.
+    fn intervals(events: &[Event]) -> Vec<Interval> {
+        let mut open = HashMap::new();
+        let mut out = Vec::new();
+        for ev in events {
+            match ev {
+                Event::TaskBegin {
+                    task,
+                    label,
+                    proc,
+                    target,
+                    time,
+                    ..
+                } => {
+                    open.insert(*task, (*proc, label.unwrap_or("task"), *time, target == proc));
+                }
+                Event::TaskEnd { task, time, .. } => {
+                    let (proc, label, start, on_target) = open.remove(task).expect("begin");
+                    out.push(Interval {
+                        proc,
+                        label,
+                        start,
+                        end: *time,
+                        on_target,
+                    });
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "every begin has an end");
+        out
+    }
+
     #[test]
     fn trace_records_labelled_intervals() {
         let mut rt = SimRuntime::new(
-            SimConfig::new(MachineConfig::dash_small(2)).with_policy(StealPolicy::disabled()),
+            SimConfig::new(MachineConfig::dash_small(2))
+                .with_policy(StealPolicy::disabled())
+                .with_trace(),
         );
-        rt.enable_trace();
         rt.run_phase(|ctx| {
             ctx.spawn(
                 Task::new(|c| c.compute(100))
@@ -1363,7 +1306,7 @@ mod tests {
                     .with_affinity(AffinitySpec::processor(1)),
             );
         });
-        let trace = rt.trace();
+        let trace = intervals(&rt.take_obs().events);
         // Seed + two labelled tasks.
         assert_eq!(trace.len(), 3);
         let alpha = trace.iter().find(|e| e.label == "alpha").unwrap();

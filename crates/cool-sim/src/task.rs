@@ -1,6 +1,6 @@
 //! Tasks and the execution context their bodies run against.
 
-use cool_core::{AccessKind, AffinitySpec, ObjRef, ProcId, RtEvent, TaskUid};
+use cool_core::{AccessKind, AffinitySpec, Event, ObjRef, ProcId, TaskUid};
 
 use crate::runtime::SimRuntime;
 
@@ -22,7 +22,7 @@ pub struct Task {
     /// the remote side of a multi-object affinity (Section 4.1's heuristic,
     /// Section 8's prefetching support).
     pub(crate) prefetch: Vec<(ObjRef, u64)>,
-    /// Optional label recorded in the schedule trace.
+    /// Optional label carried by the task's recorded events.
     pub(crate) label: Option<&'static str>,
 }
 
@@ -61,8 +61,8 @@ impl Task {
         self
     }
 
-    /// Attach a label that appears in the schedule trace (see
-    /// [`crate::runtime::SimRuntime::enable_trace`]).
+    /// Attach a label that the recorded event stream carries (see
+    /// [`crate::runtime::SimConfig::recording`]).
     pub fn with_label(mut self, label: &'static str) -> Self {
         self.label = Some(label);
         self
@@ -121,14 +121,13 @@ impl TaskCtx<'_> {
                 self.rt.machine_mut().write_at(self.proc, obj, len, now)
             }
         };
-        if self.rt.recording() {
-            let (task, proc) = (self.task, self.proc);
-            self.rt.emit(RtEvent::Access {
-                task,
+        if self.rt.full() {
+            self.rt.emit(Event::Access {
+                task: self.task,
                 obj,
                 len,
                 kind,
-                proc,
+                proc: self.proc,
                 time: now,
             });
         }
@@ -172,9 +171,9 @@ impl TaskCtx<'_> {
     /// analysis. Call it after this task's publishing writes and before any
     /// spawn decision that observes other tasks' completion.
     pub fn sync(&mut self, token: ObjRef) {
-        if self.rt.recording() {
+        if self.rt.full() {
             let (task, time) = (self.task, self.rt.clock_of(self.proc) + self.cycles);
-            self.rt.emit(RtEvent::Sync { task, token, time });
+            self.rt.emit(Event::Sync { task, token, time });
         }
     }
 
@@ -206,19 +205,7 @@ impl TaskCtx<'_> {
         let c = self.rt.machine_mut().migrate_to_proc(obj, bytes, n);
         self.cycles += self.rt.machine_mut().compute(self.proc, c);
         if self.rt.recording() {
-            let task = self.task;
-            let to = ProcId(n % self.rt.nservers());
-            let time = self.rt.clock_of(self.proc) + self.cycles;
-            self.rt.emit(RtEvent::Migrate {
-                task,
-                obj,
-                bytes,
-                to,
-                time,
-            });
-        }
-        if self.rt.obs_on() {
-            self.rt.obs_emit(cool_core::obs::ObsEvent::Migrate {
+            self.rt.emit(Event::Migrate {
                 task: self.task,
                 obj,
                 bytes,

@@ -1,14 +1,14 @@
-//! The observability layer on the simulator backend: recording must be
-//! *pure* (bit-identical simulated cycles with tracing on or off) and the
-//! per-task memory deltas must sum exactly to the PerfMonitor aggregates.
+//! The event stream on the simulator backend: recording must be *pure*
+//! (bit-identical simulated cycles in every recording mode), the `Full`
+//! stream must contain the `Trace` stream exactly, and the per-task memory
+//! deltas must sum exactly to the PerfMonitor aggregates.
 
-use cool_core::obs::{MemDelta, ObsEvent};
-use cool_core::{AffinitySpec, ObjRef};
+use cool_core::{AffinitySpec, Event, EventLog, MemDelta, ObjRef, Recording};
 use cool_sim::{MachineConfig, SimConfig, SimRuntime, Task};
 
 /// A workload that exercises every event source: hinted task-affinity sets,
 /// unhinted stealable tasks, mutex contention, and real memory traffic.
-fn run(cfg: SimConfig) -> (SimRuntime, cool_core::ObsTrace) {
+fn run(cfg: SimConfig) -> (SimRuntime, EventLog) {
     let mut rt = SimRuntime::new(cfg);
     let obj = rt.machine_mut().alloc_interleaved(1 << 14);
     let lock = rt.machine_mut().alloc_on_node(cool_core::NodeId(0), 64);
@@ -49,12 +49,24 @@ fn cfg(nprocs: usize) -> SimConfig {
 #[test]
 fn tracing_never_changes_simulated_cycles() {
     let (plain, empty) = run(cfg(8));
-    let (traced, trace) = run(cfg(8).with_trace());
-    assert!(empty.events.is_empty(), "tracing off records nothing");
-    assert!(!trace.events.is_empty(), "tracing on records the run");
-    assert_eq!(plain.elapsed(), traced.elapsed(), "cycles must not drift");
-    assert_eq!(plain.stats(), traced.stats());
-    assert_eq!(plain.report().mem, traced.report().mem);
+    assert!(empty.events.is_empty(), "recording off records nothing");
+    for recording in [Recording::Trace, Recording::Full] {
+        let (traced, trace) = run(SimConfig { recording, ..cfg(8) });
+        assert!(!trace.events.is_empty(), "{recording:?} records the run");
+        assert_eq!(plain.elapsed(), traced.elapsed(), "{recording:?}: cycles must not drift");
+        assert_eq!(plain.stats(), traced.stats(), "{recording:?}");
+        assert_eq!(plain.report().mem, traced.report().mem, "{recording:?}");
+    }
+}
+
+#[test]
+fn full_stream_filtered_to_trace_events_is_the_trace_stream() {
+    let (_, trace) = run(cfg(8).with_trace());
+    let (_, full) = run(cfg(8).with_events());
+    assert_eq!(trace.dropped, 0, "workload must fit the rings");
+    let filtered: Vec<Event> = full.events.iter().filter(|e| e.is_trace()).cloned().collect();
+    assert!(full.events.len() > filtered.len(), "Full adds the analyzer events");
+    assert_eq!(filtered, trace.events, "Full is a superset of Trace, event for event");
 }
 
 #[test]
@@ -64,7 +76,7 @@ fn per_task_mem_deltas_sum_to_monitor_aggregates() {
     let mut sum = MemDelta::default();
     let mut ends = 0;
     for ev in &trace.events {
-        if let ObsEvent::TaskEnd { mem, .. } = ev {
+        if let Event::TaskEnd { mem, .. } = ev {
             sum.accumulate(&mem.expect("simulator backend attributes memory"));
             ends += 1;
         }
@@ -81,24 +93,24 @@ fn per_task_mem_deltas_sum_to_monitor_aggregates() {
 #[test]
 fn stream_covers_the_event_vocabulary() {
     let (rt, trace) = run(cfg(8).with_trace());
-    let has = |f: &dyn Fn(&ObsEvent) -> bool| trace.events.iter().any(f);
-    assert!(has(&|e| matches!(e, ObsEvent::TaskBegin { .. })));
-    assert!(has(&|e| matches!(e, ObsEvent::TaskEnd { .. })));
-    assert!(has(&|e| matches!(e, ObsEvent::SlotLink { .. })));
-    assert!(has(&|e| matches!(e, ObsEvent::SlotDrain { .. })));
-    assert!(has(&|e| matches!(e, ObsEvent::QueueDepth { .. })));
+    let has = |f: &dyn Fn(&Event) -> bool| trace.events.iter().any(f);
+    assert!(has(&|e| matches!(e, Event::TaskBegin { .. })));
+    assert!(has(&|e| matches!(e, Event::TaskEnd { .. })));
+    assert!(has(&|e| matches!(e, Event::SlotLink { .. })));
+    assert!(has(&|e| matches!(e, Event::SlotDrain { .. })));
+    assert!(has(&|e| matches!(e, Event::QueueDepth { .. })));
     if rt.stats().tasks_stolen > 0 {
-        assert!(has(&|e| matches!(e, ObsEvent::StealSuccess { .. })));
+        assert!(has(&|e| matches!(e, Event::StealSuccess { .. })));
     }
     if rt.stats().mutex_blocks > 0 {
-        assert!(has(&|e| matches!(e, ObsEvent::MutexWait { .. })));
+        assert!(has(&|e| matches!(e, Event::MutexWait { .. })));
     }
     // Steal events agree with the scheduler's own statistics.
     let stolen: u64 = trace
         .events
         .iter()
         .filter_map(|e| match e {
-            ObsEvent::StealSuccess { ntasks, .. } => Some(*ntasks as u64),
+            Event::StealSuccess { ntasks, .. } => Some(*ntasks as u64),
             _ => None,
         })
         .sum();
@@ -106,7 +118,7 @@ fn stream_covers_the_event_vocabulary() {
     let fails = trace
         .events
         .iter()
-        .filter(|e| matches!(e, ObsEvent::StealFail { .. }))
+        .filter(|e| matches!(e, Event::StealFail { .. }))
         .count() as u64;
     assert_eq!(fails, rt.stats().failed_steals);
 }
@@ -117,10 +129,10 @@ fn begin_end_pairs_nest_per_task() {
     let mut open = std::collections::HashSet::new();
     for ev in &trace.events {
         match ev {
-            ObsEvent::TaskBegin { task, .. } => {
+            Event::TaskBegin { task, .. } => {
                 assert!(open.insert(*task), "double begin for {task:?}");
             }
-            ObsEvent::TaskEnd { task, .. } => {
+            Event::TaskEnd { task, .. } => {
                 assert!(open.remove(task), "end without begin for {task:?}");
             }
             _ => {}

@@ -24,6 +24,8 @@
 //!   the column-oriented Gaussian elimination of Figure 3, and the blocked
 //!   dense Cholesky used for the Block Cholesky case study.
 
+#![warn(missing_docs)]
+
 pub mod csc;
 pub mod dense;
 pub mod etree;

@@ -93,8 +93,11 @@ pub struct Circuit {
 /// Generation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CircuitParams {
+    /// Routing-cell grid width (x dimension).
     pub width: usize,
+    /// Routing-cell grid height (y dimension).
     pub height: usize,
+    /// Number of geographic regions (vertical strips of the cost array).
     pub regions: usize,
     /// Wires per region.
     pub wires_per_region: usize,
@@ -104,6 +107,7 @@ pub struct CircuitParams {
     /// Fraction (0..=1) of nets that get a third pin (multi-pin nets, as in
     /// real standard-cell netlists).
     pub multi_pin_fraction: f64,
+    /// Generator seed (equal seeds give equal circuits).
     pub seed: u64,
 }
 

@@ -16,6 +16,8 @@
 //! * [`nbody`] — Plummer-model particle distributions for Barnes-Hut (the
 //!   standard SPLASH initialisation).
 
+#![warn(missing_docs)]
+
 pub mod circuit;
 pub mod matrices;
 pub mod nbody;

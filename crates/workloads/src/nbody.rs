@@ -7,8 +7,11 @@ use rand::{Rng, SeedableRng};
 /// A point mass in 3-D.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Body {
+    /// Position.
     pub pos: [f64; 3],
+    /// Velocity.
     pub vel: [f64; 3],
+    /// Mass (the bodies of one model sum to 1).
     pub mass: f64,
 }
 

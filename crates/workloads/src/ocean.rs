@@ -21,6 +21,7 @@ pub struct OceanParams {
     pub regions: usize,
     /// Relaxation sweeps per phase.
     pub sweeps: usize,
+    /// Seed of the initial fields.
     pub seed: u64,
 }
 

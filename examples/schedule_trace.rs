@@ -14,8 +14,7 @@
 
 use std::collections::HashMap;
 
-use cool_repro::cool_core::obs::ObsEvent;
-use cool_repro::cool_core::{AffinitySpec, TaskUid};
+use cool_repro::cool_core::{AffinitySpec, Event, TaskUid};
 use cool_repro::cool_obs::{chrome_trace_json, MetricsSummary};
 use cool_repro::cool_sim::{MachineConfig, SimConfig, SimRuntime, Task};
 
@@ -58,17 +57,17 @@ fn main() {
     let mut slices: Vec<Slice> = Vec::new();
     for ev in &trace.events {
         match ev {
-            ObsEvent::TaskBegin {
+            Event::TaskBegin {
                 task,
                 label,
                 proc,
-                on_target,
+                target,
                 time,
                 ..
             } => {
-                open.insert(*task, (proc.index(), *time, label.unwrap_or("?"), *on_target));
+                open.insert(*task, (proc.index(), *time, label.unwrap_or("?"), target == proc));
             }
-            ObsEvent::TaskEnd { task, time, .. } => {
+            Event::TaskEnd { task, time, .. } => {
                 if let Some((proc, start, label, on_target)) = open.remove(task) {
                     slices.push(Slice {
                         proc,

@@ -20,6 +20,11 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Benchmark build gate: the ledger benchmark is its own package over the
+# workspace crates, so a crate API change that breaks it fails here rather
+# than in a benchmark run.
+run cargo test -q --offline --manifest-path ledger/Cargo.toml
+
 # Analyze gate: run the happens-before / lock-order / lint passes over all
 # six apps (default + fault-injected schedules). The binary exits non-zero
 # on any race or lock cycle; the diff check makes lint findings (and any

@@ -63,7 +63,7 @@ fn pool_matches_serial_reference() {
         .trace
         .events
         .iter()
-        .filter(|e| matches!(e, cool_core::obs::ObsEvent::TaskBegin { .. }))
+        .filter(|e| matches!(e, cool_core::Event::TaskBegin { .. }))
         .count();
     assert_eq!(begins, points.len());
 }
