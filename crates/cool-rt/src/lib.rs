@@ -74,8 +74,8 @@ pub mod watchdog;
 pub use placement::Placement;
 pub use runtime::{RtConfig, RtCtx, RtTask, Runtime, ScopeError, ScopeResult};
 pub use serve::{
-    domain_token, req_uid, Backpressure, Outcome, Request, RequestRecord, ServeConfig,
-    ServeStats, SubmitError, WorkServer, REQ_UID_BASE,
+    Backpressure, Outcome, Request, RequestRecord, ServeConfig, ServeStats, SubmitError,
+    WorkServer,
 };
 pub use vserve::{ServeDefect, ServeMachine, ServeOp, SubmitSpec, VOutcome};
 pub use watchdog::StallDump;
