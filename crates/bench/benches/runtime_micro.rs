@@ -45,7 +45,7 @@ fn queue_ops(c: &mut Criterion) {
             for i in 0..64u64 {
                 q.push_affinity(ObjRef(i % 8), AffinityKind::Task, i);
             }
-            while let Some(batch) = q.steal(true) {
+            while let Some(batch) = q.steal_with(true, true) {
                 std::hint::black_box(batch.tasks.len());
             }
         });

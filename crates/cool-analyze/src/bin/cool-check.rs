@@ -24,7 +24,7 @@ use apps::driver::Flags;
 use apps::Version;
 use cool_analyze::apps_driver::version_key;
 use cool_analyze::{run_scenario, ScenarioResult};
-use cool_core::{AffinityKind, ObjRef, PushSpec, QueueDefect, QueueMachine};
+use cool_core::{AffinityKind, ObjRef, PushSpec, QueueDefect, QueueMachine, StealPolicy, Topology};
 use cool_rt::{ServeDefect, ServeMachine, SubmitSpec};
 use dash_sim::{explore_protocol, ProtoStats};
 
@@ -52,6 +52,11 @@ fn spec(id: u64, shard: u64, cost: u64, failures: u32) -> SubmitSpec {
     }
 }
 
+/// A queue machine on `topo` under `policy`.
+fn queues(topo: Topology, policy: StealPolicy, scripts: Vec<Vec<PushSpec>>) -> QueueMachine {
+    QueueMachine::new(4, topo, policy, scripts, QueueDefect::None)
+}
+
 /// The clean scenarios the gate explores. Sized so the naive pass stays
 /// in the tens of thousands of transitions while still containing
 /// steals, retries, duplicate submissions and a racing drain.
@@ -59,22 +64,34 @@ fn scenarios() -> Vec<ScenarioResult> {
     vec![
         run_scenario(
             "queue-steal",
-            &QueueMachine::new(
-                4,
+            &queues(
+                Topology::flat(2),
+                StealPolicy::default(),
                 vec![vec![push(0, None), push(1, None)], vec![push(2, None)]],
-                QueueDefect::None,
             ),
         ),
         run_scenario(
             "queue-affinity-steal",
-            &QueueMachine::new(
-                4,
+            &queues(
+                Topology::flat(3),
+                StealPolicy::default(),
                 vec![
                     vec![push(0, Some(7)), push(1, None)],
                     vec![push(2, None)],
                     vec![],
                 ],
-                QueueDefect::None,
+            ),
+        ),
+        // Servers 0 and 1 share a cluster; server 2 is alone in the other.
+        // Server 1 may steal server 0's task, but an idle server whose only
+        // loaded victim sits in the other cluster must fail its scans while
+        // the owner drains its own task.
+        run_scenario(
+            "queue-cluster-steal",
+            &queues(
+                Topology::clustered(3, 2),
+                StealPolicy::cluster_only(),
+                vec![vec![push(0, None)], vec![], vec![push(1, None)]],
             ),
         ),
         run_scenario(

@@ -193,7 +193,9 @@ pub fn run_scenario<P: VirtualProgram + Clone>(name: &str, program: &P) -> Scena
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cool_core::{AffinityKind, PushSpec, QueueDefect, QueueMachine, VirtualProgram};
+    use cool_core::{
+        AffinityKind, PushSpec, QueueDefect, QueueMachine, StealPolicy, Topology, VirtualProgram,
+    };
 
     fn push(id: u32) -> PushSpec {
         PushSpec {
@@ -204,7 +206,13 @@ mod tests {
     }
 
     fn two_server_machine(defect: QueueDefect) -> QueueMachine {
-        QueueMachine::new(4, vec![vec![push(0), push(1)], vec![push(2)]], defect)
+        QueueMachine::new(
+            4,
+            Topology::flat(2),
+            StealPolicy::default(),
+            vec![vec![push(0), push(1)], vec![push(2)]],
+            defect,
+        )
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! only schedule exhibiting a bug, and that each invariant actually fires.
 
 use cool_analyze::explore;
-use cool_core::{AffinityKind, PushSpec, QueueDefect, QueueMachine};
+use cool_core::{AffinityKind, PushSpec, QueueDefect, QueueMachine, StealPolicy, Topology};
 use cool_rt::{ServeDefect, ServeMachine, SubmitSpec};
 
 fn push(id: u32) -> PushSpec {
@@ -22,6 +22,31 @@ fn spec(id: u64, shard: u64, failures: u32) -> SubmitSpec {
         cost: 1,
         failures,
     }
+}
+
+/// Two servers on the runtimes' defaults: a flat machine and the default
+/// steal policy.
+fn queue_machine(defect: QueueDefect) -> QueueMachine {
+    QueueMachine::new(
+        4,
+        Topology::flat(2),
+        StealPolicy::default(),
+        vec![vec![push(0), push(1)], vec![push(2)]],
+        defect,
+    )
+}
+
+/// `cool-check`'s `queue-cluster-steal` scenario: cluster stealing with
+/// servers 0 and 1 in one cluster and server 2 alone in the other, each
+/// cluster holding one task.
+fn cluster_machine(defect: QueueDefect) -> QueueMachine {
+    QueueMachine::new(
+        4,
+        Topology::clustered(3, 2),
+        StealPolicy::cluster_only(),
+        vec![vec![push(0)], vec![], vec![push(1)]],
+        defect,
+    )
 }
 
 /// A scenario where the defect is reachable: enough clients/requests to
@@ -70,24 +95,32 @@ fn every_serve_defect_is_found_in_both_modes() {
 #[test]
 fn every_queue_defect_is_found_in_both_modes() {
     for defect in [QueueDefect::LoseOnSteal, QueueDefect::DupOnSteal] {
-        let m = QueueMachine::new(4, vec![vec![push(0), push(1)], vec![push(2)]], defect);
-        let naive = explore(&m, false);
-        let dpor = explore(&m, true);
-        assert!(naive.violation_count > 0, "{defect:?} invisible to naive");
-        assert!(dpor.violation_count > 0, "{defect:?} pruned away by DPOR");
+        for m in [queue_machine(defect), cluster_machine(defect)] {
+            let naive = explore(&m, false);
+            let dpor = explore(&m, true);
+            assert!(naive.violation_count > 0, "{defect:?} invisible to naive");
+            assert!(dpor.violation_count > 0, "{defect:?} pruned away by DPOR");
+        }
     }
+    // The flat machine has no ceiling to steal past.
+    let m = cluster_machine(QueueDefect::StealPastCeiling);
+    let (naive, dpor) = (explore(&m, false), explore(&m, true));
+    assert!(naive.violation_count > 0, "breach invisible to naive");
+    assert!(dpor.violation_count > 0, "breach pruned away by DPOR");
 }
 
 #[test]
 fn dpor_prunes_on_every_clean_scenario() {
     let serve = serve_machine(ServeDefect::None);
-    let queue = QueueMachine::new(
-        4,
-        vec![vec![push(0), push(1)], vec![push(2)]],
-        QueueDefect::None,
-    );
     let (sn, sd) = (explore(&serve, false), explore(&serve, true));
     assert!(sd.schedules < sn.schedules, "{sn:?} vs {sd:?}");
-    let (qn, qd) = (explore(&queue, false), explore(&queue, true));
-    assert!(qd.schedules < qn.schedules, "{qn:?} vs {qd:?}");
+    for queue in [
+        queue_machine(QueueDefect::None),
+        cluster_machine(QueueDefect::None),
+    ] {
+        let (qn, qd) = (explore(&queue, false), explore(&queue, true));
+        assert_eq!(qn.violation_count, 0);
+        assert_eq!(qd.violation_count, 0);
+        assert!(qd.schedules < qn.schedules, "{qn:?} vs {qd:?}");
+    }
 }

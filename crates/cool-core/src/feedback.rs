@@ -28,8 +28,7 @@
 //! simulator the whole loop is therefore a pure function of the schedule,
 //! which is itself deterministic — adaptive runs replay byte-identically,
 //! and the sweep engine can memoize them like any static configuration.
-//! On the threaded runtime each worker keeps its own private aggregator,
-//! so no cross-thread timing enters the control loop.
+//! The threaded runtime keeps no aggregator.
 //!
 //! Both config types render a stable [`fingerprint`](AdaptiveConfig::fingerprint)
 //! segment that the simulator appends to its own, so memoized records can

@@ -17,7 +17,8 @@
 //!   back-to-back service of task-affinity sets.
 //! * [`policy`] — work-stealing policy knobs from Sections 4.2 and 6.3:
 //!   stealing whole task-affinity sets, avoiding object-affinity tasks, and
-//!   cluster-first stealing.
+//!   cluster-first stealing — and [`StealPolicy::scan`], the one steal scan
+//!   every executor calls.
 //! * [`feedback`] — the closed-loop layer over those knobs: the
 //!   [`AdaptiveConfig`]/[`RebalanceConfig`] knob sets and the deterministic
 //!   [`PolicyFeedback`] aggregator that turns observed steal failures,
@@ -40,8 +41,8 @@
 //! * [`vsched`] — the virtual-scheduler abstraction for model checking:
 //!   [`VirtualProgram`] lifts a concurrent state machine onto explicit
 //!   decision points, and [`QueueMachine`] models multi-server
-//!   push/pop/steal over the real [`ServerQueues`] for the `cool-check`
-//!   exhaustive-interleaving explorer.
+//!   push/pop/steal over the real [`ServerQueues`] and the shipped steal
+//!   scan for the `cool-check` exhaustive-interleaving explorer.
 //!
 //! Both the simulated runtime (`cool-sim`, which reproduces the paper's DASH
 //! numbers) and the real threaded runtime (`cool-rt`) are built on these
@@ -68,7 +69,7 @@ pub use faults::FaultPlan;
 pub use feedback::{AdaptiveConfig, PolicyFeedback, RebalanceConfig};
 pub use ids::{ClusterId, NodeId, ObjRef, ProcId};
 pub use obs::{EventLog, MemDelta, Recorder, Recording};
-pub use policy::{StealPolicy, Topology, VictimOrders, MAX_TOPO_LEVELS};
+pub use policy::{Scan, StealPolicy, Topology, VictimOrders, MAX_TOPO_LEVELS};
 pub use queues::{Popped, ServerQueues, SlotClass, SlotUpdate, StolenBatch};
 pub use stats::SchedStats;
 pub use vsched::{PushSpec, QueueDefect, QueueMachine, QueueOp, VirtualProgram};

@@ -19,8 +19,17 @@
 //! the steal domain one level per failed scan, in the spirit of the
 //! bubble-scheduler line of work (Thibault et al.). A 2-level machine remains
 //! a special case with byte-identical scan orders.
+//!
+//! [`StealPolicy::scan`] is the one steal scan: the simulator, the threaded
+//! runtime and the model checker's `QueueMachine` all call it, each with
+//! its own way of taking from one victim.
 
+use std::ops::DerefMut;
+
+use crate::feedback::PolicyFeedback;
 use crate::ids::{ClusterId, ProcId};
+use crate::queues::StolenBatch;
+use crate::stats::SchedStats;
 
 /// Maximum explicit levels in a machine tree (the implicit machine root sits
 /// above the outermost one). Four levels model e.g. SMT pair → core cluster →
@@ -223,25 +232,12 @@ impl VictimOrders {
         VictimOrders { entries, stride }
     }
 
-    /// Victims per thief (`nservers − 1`).
-    #[inline]
-    pub fn len_per_thief(&self) -> usize {
-        self.stride
-    }
-
     /// The scan order for `thief`: `(victim, common-ancestor level)` pairs,
     /// nearest domains first.
     #[inline]
     pub fn order(&self, thief: ProcId) -> &[(ProcId, u8)] {
         let s = thief.index() * self.stride;
         &self.entries[s..s + self.stride]
-    }
-
-    /// The `i`-th entry of `thief`'s scan order (indexed access for callers
-    /// that cannot hold the slice borrow across mutation).
-    #[inline]
-    pub fn entry(&self, thief: ProcId, i: usize) -> (ProcId, u8) {
-        self.entries[thief.index() * self.stride + i]
     }
 }
 
@@ -370,11 +366,270 @@ impl StealPolicy {
         }
         ceiling
     }
+
+    /// One steal scan by an idle thief over its [`VictimOrders::order`], or
+    /// `None` when stealing is disabled (nothing is probed or counted).
+    ///
+    /// After `last_resort_after` consecutive `failed_scans` the thief is
+    /// desperate and may take object-affinity work; only `feedback` lifts
+    /// the [`StealPolicy::allowed_level`] ceiling, and it also caps the
+    /// probes. The walk stops above the ceiling, at the cap, or at the first
+    /// batch taken; each victim walked is one probe, empty or not.
+    ///
+    /// `take(victim, avoid_object, whole_sets)` takes from one victim, as
+    /// [`ServerQueues::steal_with`](crate::ServerQueues::steal_with) does.
+    /// `stats` is called once, after the walk, so a caller never holds its
+    /// stats lock while it takes from a victim.
+    pub fn scan<T, S: DerefMut<Target = SchedStats>>(
+        &self,
+        topo: &Topology,
+        order: &[(ProcId, u8)],
+        failed_scans: &mut usize,
+        feedback: Option<&mut PolicyFeedback>,
+        stats: impl FnOnce() -> S,
+        mut take: impl FnMut(ProcId, bool, bool) -> Option<StolenBatch<T>>,
+    ) -> Option<Scan<T>> {
+        if !self.enabled {
+            return None;
+        }
+        let desperate = *failed_scans >= self.last_resort_after;
+        let mut allowed = self.allowed_level(topo, *failed_scans);
+        let mut probe_cap = usize::MAX;
+        if let Some(fb) = &feedback {
+            allowed = allowed.saturating_add(fb.extra_levels());
+            probe_cap = fb.probe_cap();
+        }
+        let avoid_object = self.avoid_object_affinity && !desperate;
+        let mut probes = 0;
+        let mut stolen = None;
+        for &(victim, lvl) in order {
+            // Orders are level-sorted: past the ceiling, every remaining
+            // victim is too.
+            if lvl as usize > allowed || probes >= probe_cap {
+                break;
+            }
+            probes += 1;
+            if let Some(batch) = take(victim, avoid_object, self.steal_whole_sets) {
+                stolen = Some((victim, lvl, batch));
+                break;
+            }
+        }
+        let mut st = stats();
+        match &stolen {
+            Some((_, lvl, batch)) => {
+                st.tasks_stolen += batch.tasks.len() as u64;
+                st.sets_stolen += u64::from(batch.token.is_some());
+                st.remote_steals += u64::from(*lvl as usize > topo.mem_level());
+                st.desperate_steals += u64::from(desperate);
+                st.steals_by_level[*lvl as usize] += 1;
+                *failed_scans = 0;
+            }
+            None => {
+                st.failed_steals += 1;
+                *failed_scans += 1;
+            }
+        }
+        drop(st);
+        if let Some(fb) = feedback {
+            fb.note_scan(stolen.is_none());
+        }
+        Some(Scan {
+            probes,
+            stolen: stolen.map(|(victim, _, batch)| (victim, batch)),
+        })
+    }
+}
+
+/// What one [`StealPolicy::scan`] did.
+#[derive(Debug)]
+pub struct Scan<T> {
+    /// Victims walked, empty or not: each costs the thief one probe.
+    pub probes: usize,
+    /// The victim robbed and the batch taken from it; `None` when the scan
+    /// failed.
+    pub stolen: Option<(ProcId, StolenBatch<T>)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feedback::AdaptiveConfig;
+
+    /// A thief's scan state, scanning fake victims.
+    #[derive(Default)]
+    struct Thief {
+        failed: usize,
+        stats: SchedStats,
+    }
+
+    impl Thief {
+        /// One scan by server `me`: each victim in `loaded` gives up one
+        /// task (with `object_only`, only to a desperate thief). Returns
+        /// the scan and the victims probed, in order.
+        fn scan(
+            &mut self,
+            policy: &StealPolicy,
+            topo: &Topology,
+            me: usize,
+            feedback: Option<&mut PolicyFeedback>,
+            loaded: &[usize],
+            object_only: bool,
+        ) -> (Scan<usize>, Vec<usize>) {
+            let orders = topo.victim_orders();
+            let mut probed = Vec::new();
+            let scan = policy
+                .scan(
+                    topo,
+                    orders.order(ProcId(me)),
+                    &mut self.failed,
+                    feedback,
+                    || &mut self.stats,
+                    |v, avoid, _| {
+                        probed.push(v.index());
+                        let has = loaded.contains(&v.index()) && !(object_only && avoid);
+                        has.then(|| StolenBatch {
+                            token: None,
+                            tasks: vec![v.index()],
+                        })
+                    },
+                )
+                .expect("stealing is enabled");
+            (scan, probed)
+        }
+    }
+
+    #[test]
+    fn scan_cluster_only_probes_the_thiefs_cluster() {
+        let topo = Topology::clustered(8, 4);
+        let policy = StealPolicy::cluster_only();
+        let mut t = Thief::default();
+        // The only loaded victim is in the other cluster, and desperation
+        // never lifts the boundary.
+        for scan in 1..=4 {
+            let (s, probed) = t.scan(&policy, &topo, 1, None, &[5], false);
+            assert_eq!(probed, [2, 3, 0]);
+            assert_eq!(s.probes, 3);
+            assert!(s.stolen.is_none());
+            assert_eq!(t.failed, scan);
+        }
+        assert_eq!(t.stats.failed_steals, 4);
+        assert_eq!(t.stats.tasks_stolen, 0);
+    }
+
+    #[test]
+    fn scan_polite_widening_admits_one_level_per_failed_scan() {
+        // Thief 0 sees 1, 2, 4 and 8 victims at levels 0–3.
+        let topo = Topology::tree(16, &[2, 4, 8], 1);
+        let policy = StealPolicy::widening();
+        let mut t = Thief::default();
+        let probes: Vec<usize> = (0..5)
+            .map(|_| t.scan(&policy, &topo, 0, None, &[], false).0.probes)
+            .collect();
+        assert_eq!(probes, [1, 3, 7, 15, 15]);
+    }
+
+    #[test]
+    fn scan_obeys_feedback_probe_cap_and_widening() {
+        let cfg = AdaptiveConfig {
+            window: 1,
+            probe_base: 2,
+            probe_per_depth: 0,
+            ..AdaptiveConfig::default()
+        };
+        let topo = Topology::clustered(8, 4);
+        let dflt = StealPolicy::default();
+        let mut t = Thief::default();
+        let mut fb = PolicyFeedback::new(cfg, topo.nlevels());
+        // Before any window closes nothing is capped.
+        let (s, _) = t.scan(&dflt, &topo, 1, Some(&mut fb), &[], false);
+        assert_eq!(s.probes, 7);
+        // That failed scan closes the next window starved: the cap drops
+        // to `probe_base` and the cluster ceiling lifts one level.
+        assert!(fb.note_task(0, 0, 0));
+        assert_eq!((fb.probe_cap(), fb.extra_levels()), (2, 1));
+        let (s, probed) = t.scan(&dflt, &topo, 1, Some(&mut fb), &[], false);
+        assert_eq!((s.probes, probed), (2, vec![2, 3]));
+        let uncapped = AdaptiveConfig {
+            probe_base: 0,
+            ..cfg
+        };
+        let mut fb = PolicyFeedback::new(uncapped, topo.nlevels());
+        fb.note_scan(true);
+        assert!(fb.note_task(0, 0, 0));
+        let co = StealPolicy::cluster_only();
+        let (s, probed) = t.scan(&co, &topo, 1, Some(&mut fb), &[5], false);
+        assert_eq!(probed, [2, 3, 0, 4, 5], "widened past the cluster");
+        assert_eq!(s.stolen.map(|(v, _)| v), Some(ProcId(5)));
+    }
+
+    #[test]
+    fn scan_turns_desperate_after_last_resort_after_failures() {
+        let topo = Topology::flat(2);
+        let policy = StealPolicy::default();
+        let mut t = Thief::default();
+        // Victim 0 holds only object-affinity work.
+        for _ in 0..policy.last_resort_after {
+            let (s, _) = t.scan(&policy, &topo, 1, None, &[0], true);
+            assert!(s.stolen.is_none());
+        }
+        assert_eq!(t.stats.desperate_steals, 0);
+        let (s, _) = t.scan(&policy, &topo, 1, None, &[0], true);
+        assert!(s.stolen.is_some());
+        assert_eq!(t.stats.desperate_steals, 1);
+        assert_eq!(t.stats.failed_steals, policy.last_resort_after as u64);
+    }
+
+    #[test]
+    fn scan_buckets_steals_by_victim_level() {
+        // Memory level 1: levels 2 and 3 are remote.
+        let topo = Topology::tree(16, &[2, 4, 8], 1);
+        let policy = StealPolicy::default();
+        let mut t = Thief::default();
+        for victim in [1, 2, 4, 8] {
+            t.scan(&policy, &topo, 0, None, &[victim], false);
+        }
+        assert_eq!(t.stats.steals_by_level, [1, 1, 1, 1, 0]);
+        assert_eq!(t.stats.remote_steals, 2);
+        assert_eq!(t.stats.tasks_stolen, 4);
+        assert_eq!(t.stats.sets_stolen, 0);
+        assert_eq!(t.stats.failed_steals, 0);
+    }
+
+    #[test]
+    fn scan_counts_sets_and_resets_failed_scans_on_success() {
+        let topo = Topology::flat(2);
+        let orders = topo.victim_orders();
+        let (mut failed, mut stats) = (5, SchedStats::default());
+        let scan = StealPolicy::default()
+            .scan(
+                &topo,
+                orders.order(ProcId(0)),
+                &mut failed,
+                None,
+                || &mut stats,
+                |_, _, _| {
+                    Some(StolenBatch {
+                        token: Some(crate::ObjRef(7)),
+                        tasks: vec![1, 2],
+                    })
+                },
+            )
+            .unwrap();
+        assert_eq!(scan.probes, 1);
+        assert_eq!(failed, 0);
+        assert_eq!((stats.tasks_stolen, stats.sets_stolen), (2, 1));
+        // A disabled policy scans nothing and counts nothing.
+        let off = StealPolicy::disabled().scan(
+            &topo,
+            orders.order(ProcId(0)),
+            &mut failed,
+            None,
+            || &mut stats,
+            |_, _, _| -> Option<StolenBatch<u32>> { panic!("probed") },
+        );
+        assert!(off.is_none());
+        assert_eq!((failed, stats.failed_steals), (0, 0));
+    }
 
     #[test]
     fn clusters_partition_processors() {
@@ -457,14 +712,13 @@ mod tests {
             Topology::tree(24, &[2, 8], 1),
         ] {
             let orders = topo.victim_orders();
-            assert_eq!(orders.len_per_thief(), topo.nservers - 1);
             for t in 0..topo.nservers {
                 let thief = ProcId(t);
                 let fresh = topo.steal_order(thief);
+                assert_eq!(fresh.len(), topo.nservers - 1);
                 let pre: Vec<ProcId> = orders.order(thief).iter().map(|&(v, _)| v).collect();
                 assert_eq!(pre, fresh, "thief {t}");
-                for (i, &(v, lvl)) in orders.order(thief).iter().enumerate() {
-                    assert_eq!(orders.entry(thief, i), (v, lvl));
+                for &(v, lvl) in orders.order(thief) {
                     assert_eq!(lvl as usize, topo.common_level(thief, v));
                 }
             }

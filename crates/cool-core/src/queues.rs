@@ -195,49 +195,38 @@ impl<T> ServerQueues<T> {
     /// promoted to the head of the service list even when it was already
     /// linked — otherwise a hash collision on the thief would silently bury
     /// the stolen set behind resident work.
-    pub fn push_stolen(&mut self, batch: StolenBatch<T>, kind: AffinityKind) -> SlotUpdate {
-        match batch.token {
-            Some(token) => {
-                let idx = self.slot_of(token);
-                let newly_linked = !self.slots[idx].linked;
-                for payload in batch.tasks.into_iter().rev() {
-                    self.slots[idx].queue.push_front(Entry {
-                        token: Some(token),
-                        kind,
-                        payload,
-                    });
-                    self.len += 1;
-                }
-                if self.slots[idx].queue.is_empty() {
-                    return SlotUpdate {
-                        slot: Some(idx),
-                        newly_linked: false,
-                    };
-                }
-                if !newly_linked {
-                    self.unlink(idx);
-                }
-                self.link_head(idx);
-                SlotUpdate {
-                    slot: Some(idx),
-                    newly_linked,
-                }
+    ///
+    /// A stolen set is re-queued as [`AffinityKind::Task`] (its collocation
+    /// is already broken, so a later thief may move it whole) and a stolen
+    /// single as [`AffinityKind::None`].
+    pub fn push_stolen(&mut self, batch: StolenBatch<T>) {
+        self.len += batch.tasks.len();
+        let Some(token) = batch.token else {
+            for payload in batch.tasks.into_iter().rev() {
+                self.default_queue.push_front(Entry {
+                    token: None,
+                    kind: AffinityKind::None,
+                    payload,
+                });
             }
-            None => {
-                for payload in batch.tasks.into_iter().rev() {
-                    self.default_queue.push_front(Entry {
-                        token: None,
-                        kind,
-                        payload,
-                    });
-                    self.len += 1;
-                }
-                SlotUpdate {
-                    slot: None,
-                    newly_linked: false,
-                }
-            }
+            return;
+        };
+        let idx = self.slot_of(token);
+        let was_linked = self.slots[idx].linked;
+        for payload in batch.tasks.into_iter().rev() {
+            self.slots[idx].queue.push_front(Entry {
+                token: Some(token),
+                kind: AffinityKind::Task,
+                payload,
+            });
         }
+        if self.slots[idx].queue.is_empty() {
+            return;
+        }
+        if was_linked {
+            self.unlink(idx);
+        }
+        self.link_head(idx);
     }
 
     /// Dequeue the next task for local execution.
@@ -342,13 +331,8 @@ impl<T> ServerQueues<T> {
     ///   and moving the whole set would overshoot the imbalance the steal is
     ///   correcting.
     /// * From the default queue, a single task is stolen.
-    pub fn steal(&mut self, avoid_object_affinity: bool) -> Option<StolenBatch<T>> {
-        self.steal_with(avoid_object_affinity, true)
-    }
-
-    /// As [`ServerQueues::steal`], with whole-set stealing controllable:
-    /// when `whole_sets` is false a single task is taken even from a
-    /// task-affinity slot (the ablation case).
+    /// * With `whole_sets` false a single task is taken even from a
+    ///   task-affinity slot (the ablation case).
     pub fn steal_with(
         &mut self,
         avoid_object_affinity: bool,
@@ -610,10 +594,10 @@ mod tests {
         q.push_affinity(a, AffinityKind::Task, 1);
         q.push_affinity(a, AffinityKind::Task, 2);
         q.push_affinity(b, AffinityKind::Task, 3);
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.token, Some(b), "tail set stolen first");
         assert_eq!(batch.tasks, vec![3]);
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.token, Some(a));
         assert_eq!(batch.tasks, vec![1, 2], "whole set, original order");
         assert!(q.is_empty());
@@ -624,9 +608,12 @@ mod tests {
     fn steal_avoids_object_affinity_until_last_resort() {
         let mut q = q();
         q.push_affinity(ObjRef(5), AffinityKind::Object, 7);
-        assert!(q.steal(true).is_none(), "polite thief leaves home tasks");
+        assert!(
+            q.steal_with(true, true).is_none(),
+            "polite thief leaves home tasks"
+        );
         assert_eq!(q.len(), 1);
-        let batch = q.steal(false).unwrap();
+        let batch = q.steal_with(false, true).unwrap();
         assert_eq!(batch.tasks, vec![7], "last-resort steal succeeds");
     }
 
@@ -637,7 +624,7 @@ mod tests {
         q.push_affinity(roam, AffinityKind::Task, 1);
         q.push_affinity(home, AffinityKind::Object, 2);
         // `home` is at the tail; the thief must skip it and take `roam`.
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.token, Some(roam));
         assert_eq!(batch.tasks, vec![1]);
         assert_eq!(q.len(), 1);
@@ -649,7 +636,7 @@ mod tests {
         let mut q = q();
         q.push_default(AffinityKind::None, 1);
         q.push_default(AffinityKind::None, 2);
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.tasks, vec![2], "steals from the back");
         assert_eq!(q.pop_local().unwrap().1, 1);
     }
@@ -664,7 +651,7 @@ mod tests {
             token: Some(stolen_tok),
             tasks: vec![8, 9],
         };
-        thief.push_stolen(batch, AffinityKind::Task);
+        thief.push_stolen(batch);
         // Stolen set is serviced first (pushed at the head), back to back.
         assert_eq!(thief.pop_local().unwrap().1, 8);
         assert_eq!(thief.pop_local().unwrap().1, 9);
@@ -676,13 +663,10 @@ mod tests {
     fn push_stolen_default_tasks_run_next() {
         let mut thief: ServerQueues<u32> = ServerQueues::new(8);
         thief.push_default(AffinityKind::None, 5);
-        thief.push_stolen(
-            StolenBatch {
-                token: None,
-                tasks: vec![1, 2],
-            },
-            AffinityKind::None,
-        );
+        thief.push_stolen(StolenBatch {
+            token: None,
+            tasks: vec![1, 2],
+        });
         assert_eq!(thief.pop_local().unwrap().1, 1);
         assert_eq!(thief.pop_local().unwrap().1, 2);
         assert_eq!(thief.pop_local().unwrap().1, 5);
@@ -697,13 +681,10 @@ mod tests {
         let stolen_tok = ObjRef(21);
         thief.push_affinity(mine, AffinityKind::Task, 1);
         thief.push_affinity(mine, AffinityKind::Task, 2);
-        thief.push_stolen(
-            StolenBatch {
-                token: Some(stolen_tok),
-                tasks: vec![8, 9],
-            },
-            AffinityKind::Task,
-        );
+        thief.push_stolen(StolenBatch {
+            token: Some(stolen_tok),
+            tasks: vec![8, 9],
+        });
         thief.check_invariants().unwrap();
         let order: Vec<u32> =
             std::iter::from_fn(|| thief.pop_local().map(|(_, t)| t)).collect();
@@ -725,13 +706,10 @@ mod tests {
             .unwrap();
         thief.push_affinity(a, AffinityKind::Task, 1);
         thief.push_affinity(b, AffinityKind::Task, 2);
-        thief.push_stolen(
-            StolenBatch {
-                token: Some(colliding),
-                tasks: vec![8, 9],
-            },
-            AffinityKind::Task,
-        );
+        thief.push_stolen(StolenBatch {
+            token: Some(colliding),
+            tasks: vec![8, 9],
+        });
         thief.check_invariants().unwrap();
         let order: Vec<u32> =
             std::iter::from_fn(|| thief.pop_local().map(|(_, t)| t)).collect();
@@ -749,7 +727,7 @@ mod tests {
         q.push_affinity(b, AffinityKind::Task, 4);
         // Tail-most entry belongs to B, so B's set is stolen — whole, in
         // FIFO order, labelled with B's token (not A's, which linked first).
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.token, Some(b), "batch carries the stolen set's token");
         assert_eq!(batch.tasks, vec![3, 4]);
         // Survivors keep their order.
@@ -768,12 +746,12 @@ mod tests {
         q.push_affinity(roam, AffinityKind::Task, 1);
         q.push_affinity(roam, AffinityKind::Task, 2);
         assert_eq!(q.tail_slot_class(), Some(SlotClass::Stealable));
-        let batch = q.steal(true).unwrap();
+        let batch = q.steal_with(true, true).unwrap();
         assert_eq!(batch.token, Some(roam));
         assert_eq!(batch.tasks, vec![1, 2]);
         assert_eq!(q.len(), 1, "object-affinity task stays home");
         assert_eq!(q.tail_slot_class(), Some(SlotClass::PrefersHome));
-        assert!(q.steal(true).is_none());
+        assert!(q.steal_with(true, true).is_none());
         q.check_invariants().unwrap();
     }
 
@@ -829,7 +807,7 @@ mod tests {
                     q.pop_local();
                 }
                 3 => {
-                    q.steal(true);
+                    q.steal_with(true, true);
                 }
                 _ => {
                     q.push_affinity(ObjRef((i % 3) as u64), AffinityKind::Object, i);

@@ -15,8 +15,9 @@
 //! Two programs live in the workspace:
 //!
 //! * [`QueueMachine`] (here) — `K` servers pushing, popping and stealing
-//!   over the *real* [`ServerQueues`] structure, asserting structural
-//!   integrity and task conservation on every step;
+//!   over the *real* [`ServerQueues`] structure with the *shipped* steal
+//!   scan ([`StealPolicy::scan`]), asserting structural integrity, task
+//!   conservation and the locality ceiling on every step;
 //! * `ServeMachine` (in `cool-rt::vserve`) — a logical-time model of the
 //!   work-server admission/dedup/retry/drain protocol.
 //!
@@ -25,8 +26,10 @@
 //! actually fire.
 
 use crate::affinity::AffinityKind;
-use crate::ids::ObjRef;
+use crate::ids::{ObjRef, ProcId};
+use crate::policy::{StealPolicy, Topology, VictimOrders};
 use crate::queues::ServerQueues;
+use crate::stats::SchedStats;
 use std::collections::VecDeque;
 
 /// A deterministic, explorable concurrent program.
@@ -110,6 +113,9 @@ pub enum QueueDefect {
     /// Duplicate the first task of every stolen batch. Caught by the
     /// exactly-once execution invariant.
     DupOnSteal,
+    /// Scan as if the policy had no locality ceiling (`cluster_only` and
+    /// `steal_radius` off). Caught by the steal-ceiling invariant.
+    StealPastCeiling,
 }
 
 /// One scheduling operation of the [`QueueMachine`].
@@ -125,43 +131,30 @@ pub enum QueueOp {
         /// Acting server.
         server: usize,
     },
-    /// Idle server `thief` steals from `victim` and enqueues the batch.
+    /// Idle server `thief` runs one steal scan ([`StealPolicy::scan`]) over
+    /// its victim order and enqueues what it takes, if anything.
     Steal {
         /// The stealing server (must be locally idle).
         thief: usize,
-        /// The victim server (must have queued work).
-        victim: usize,
     },
 }
 
-impl QueueOp {
-    fn touches(&self, s: usize) -> bool {
-        match *self {
-            QueueOp::Push { server } | QueueOp::Pop { server } => server == s,
-            QueueOp::Steal { thief, victim } => thief == s || victim == s,
-        }
-    }
-
-    fn servers(&self) -> [usize; 2] {
-        match *self {
-            QueueOp::Push { server } | QueueOp::Pop { server } => [server, server],
-            QueueOp::Steal { thief, victim } => [thief, victim],
-        }
-    }
-}
-
 /// A bounded multi-server push/pop/steal program over the real
-/// [`ServerQueues`] structure.
+/// [`ServerQueues`] structure and the shipped steal scan.
 ///
 /// Each server owns a `ServerQueues<u32>` (payloads are task ids) and a
 /// script of pushes it will perform; a server whose local queues are
-/// empty and whose script is exhausted may steal from any server with
-/// queued work. Invariants checked on every transition:
+/// empty and whose script is exhausted may run a steal scan
+/// ([`StealPolicy::scan`], as both runtimes do) while another server has
+/// queued work. A scan is one transition, whether it takes a batch or
+/// finds nothing. Invariants checked on every transition:
 ///
 /// * every queue's internal structure is intact
 ///   ([`ServerQueues::check_invariants`]);
 /// * task conservation — `pushed == executed + queued` at all times;
-/// * exactly-once execution — no task id is ever popped twice.
+/// * exactly-once execution — no task id is ever popped twice;
+/// * steal ceiling — no steal crosses the policy's strict locality
+///   boundary (`cluster_only`, `steal_radius`).
 ///
 /// Terminal states additionally require that every pushed task was
 /// executed (nothing stranded, nothing lost).
@@ -169,31 +162,50 @@ impl QueueOp {
 pub struct QueueMachine {
     queues: Vec<ServerQueues<u32>>,
     scripts: Vec<VecDeque<PushSpec>>,
+    topology: Topology,
+    /// Every server's victim order on `topology`, built once.
+    victims: VictimOrders,
+    policy: StealPolicy,
+    /// Consecutive failed scans per server.
+    failed_scans: Vec<usize>,
     executed: Vec<u32>,
     executed_mask: u64,
     pushed: usize,
     double_exec: Option<u32>,
+    /// First steal that crossed the strict locality boundary, as
+    /// `(thief, victim)`.
+    past_ceiling: Option<(usize, usize)>,
     defect: QueueDefect,
-    /// Steals remaining. Two idle servers could otherwise ping-pong a
-    /// batch forever, making the schedule tree infinite; the budget (2 per
-    /// server) keeps exploration bounded while still covering every
-    /// steal/steal-back interleaving of interest.
+    /// Scans remaining, failed or not: two per server. Idle servers could
+    /// otherwise ping-pong a batch, or keep failing scans, forever.
     steal_budget: u32,
 }
 
 impl QueueMachine {
     /// Build a machine with one queue of `array_size` affinity slots per
-    /// script entry; `scripts[s]` is the ordered pushes server `s` will
-    /// perform.
-    pub fn new(array_size: usize, scripts: Vec<Vec<PushSpec>>, defect: QueueDefect) -> Self {
+    /// script entry on `topology`, stealing under `policy`; `scripts[s]` is
+    /// the ordered pushes server `s` will perform.
+    pub fn new(
+        array_size: usize,
+        topology: Topology,
+        policy: StealPolicy,
+        scripts: Vec<Vec<PushSpec>>,
+        defect: QueueDefect,
+    ) -> Self {
         let n = scripts.len();
+        assert_eq!(topology.nservers, n, "one script per server");
         QueueMachine {
             queues: (0..n).map(|_| ServerQueues::new(array_size)).collect(),
             scripts: scripts.into_iter().map(VecDeque::from).collect(),
+            victims: topology.victim_orders(),
+            topology,
+            policy,
+            failed_scans: vec![0; n],
             executed: Vec::new(),
             executed_mask: 0,
             pushed: 0,
             double_exec: None,
+            past_ceiling: None,
             defect,
             steal_budget: 2 * n as u32,
         }
@@ -227,18 +239,16 @@ impl VirtualProgram for QueueMachine {
                 ops.push(QueueOp::Pop { server: s });
             }
         }
-        // A server steals only when it is locally idle (queue empty and
-        // script exhausted), mirroring the runtimes' idle-steal loops.
-        if self.steal_budget == 0 {
+        // A server scans only when it is locally idle (queue empty and
+        // script exhausted) and some other server has queued work,
+        // mirroring the runtimes' idle-steal loops.
+        if self.steal_budget == 0 || !self.policy.enabled {
             return ops;
         }
         for thief in 0..self.queues.len() {
-            if self.queues[thief].is_empty() && self.scripts[thief].is_empty() {
-                for victim in 0..self.queues.len() {
-                    if victim != thief && !self.queues[victim].is_empty() {
-                        ops.push(QueueOp::Steal { thief, victim });
-                    }
-                }
+            let idle = self.queues[thief].is_empty() && self.scripts[thief].is_empty();
+            if idle && self.queues.iter().any(|q| !q.is_empty()) {
+                ops.push(QueueOp::Steal { thief });
             }
         }
         ops
@@ -260,17 +270,36 @@ impl VirtualProgram for QueueMachine {
                 let (_, id) = self.queues[server].pop_local().expect("pop enabled");
                 self.record_exec(id);
             }
-            QueueOp::Steal { thief, victim } => {
+            QueueOp::Steal { thief } => {
                 self.steal_budget = self.steal_budget.checked_sub(1).expect("steal enabled");
-                // Prefer a whole stealable set (avoiding object-affinity
-                // work), fall back to the last-resort single steal — the
-                // same victim-side policy the runtimes use.
-                let mut batch = match self.queues[victim].steal(true) {
-                    Some(b) => b,
-                    None => self.queues[victim].steal(false).expect("victim non-empty"),
+                let policy = match self.defect {
+                    QueueDefect::StealPastCeiling => StealPolicy {
+                        cluster_only: false,
+                        steal_radius: None,
+                        ..self.policy
+                    },
+                    _ => self.policy,
                 };
+                let mut stats = SchedStats::default();
+                let queues = &mut self.queues;
+                let scan = policy
+                    .scan(
+                        &self.topology,
+                        self.victims.order(ProcId(thief)),
+                        &mut self.failed_scans[thief],
+                        None,
+                        || &mut stats,
+                        |v, avoid, whole| queues[v.index()].steal_with(avoid, whole),
+                    )
+                    .expect("steal enabled");
+                let Some((victim, mut batch)) = scan.stolen else {
+                    return;
+                };
+                let boundary = self.policy.allowed_level(&self.topology, usize::MAX);
+                if self.topology.common_level(ProcId(thief), victim) > boundary {
+                    self.past_ceiling.get_or_insert((thief, victim.index()));
+                }
                 match self.defect {
-                    QueueDefect::None => {}
                     QueueDefect::LoseOnSteal => {
                         batch.tasks.pop();
                     }
@@ -279,14 +308,10 @@ impl VirtualProgram for QueueMachine {
                             batch.tasks.push(first);
                         }
                     }
+                    QueueDefect::None | QueueDefect::StealPastCeiling => {}
                 }
-                let kind = if batch.token.is_some() {
-                    AffinityKind::Task
-                } else {
-                    AffinityKind::None
-                };
                 if !batch.tasks.is_empty() {
-                    self.queues[thief].push_stolen(batch, kind);
+                    self.queues[thief].push_stolen(batch);
                 }
             }
         }
@@ -299,6 +324,11 @@ impl VirtualProgram for QueueMachine {
         }
         if let Some(id) = self.double_exec {
             return Err(format!("exactly-once execution: task {id} executed twice"));
+        }
+        if let Some((thief, victim)) = self.past_ceiling {
+            return Err(format!(
+                "steal ceiling: server {thief} stole from server {victim} past the locality boundary"
+            ));
         }
         let queued: usize = self.queues.iter().map(|q| q.len()).sum();
         if queued + self.executed.len() != self.pushed {
@@ -331,17 +361,26 @@ impl VirtualProgram for QueueMachine {
             // invalidate.
             return true;
         }
-        a.servers().iter().any(|&s| b.touches(s))
+        match (a, b) {
+            (
+                QueueOp::Push { server: x } | QueueOp::Pop { server: x },
+                QueueOp::Push { server: y } | QueueOp::Pop { server: y },
+            ) => x == y,
+            // A scan reads every server's queue, so it is dependent with
+            // every op on any server.
+            _ => true,
+        }
     }
 
     fn state_key(&self) -> u64 {
         // The Debug rendering covers queue contents (slot order, tokens,
-        // payloads), remaining scripts, the execution log and the steal
-        // budget — a faithful state fingerprint, and deterministic.
+        // payloads), remaining scripts, the execution log, each server's
+        // failed scans and the steal budget — a faithful state fingerprint,
+        // and deterministic.
         stable_hash(
             format!(
-                "{:?}{:?}{:?}{}",
-                self.queues, self.scripts, self.executed, self.steal_budget
+                "{:?}{:?}{:?}{:?}{}",
+                self.queues, self.scripts, self.executed, self.failed_scans, self.steal_budget
             )
             .as_bytes(),
         )
@@ -358,6 +397,13 @@ mod tests {
             token: tok.map(ObjRef),
             kind,
         }
+    }
+
+    /// A machine on the runtimes' defaults: a flat topology and the
+    /// default steal policy.
+    fn flat(scripts: Vec<Vec<PushSpec>>, defect: QueueDefect) -> QueueMachine {
+        let topo = Topology::flat(scripts.len());
+        QueueMachine::new(4, topo, StealPolicy::default(), scripts, defect)
     }
 
     fn run_serial(mut m: QueueMachine) -> QueueMachine {
@@ -377,8 +423,7 @@ mod tests {
 
     #[test]
     fn serial_run_executes_everything_exactly_once() {
-        let m = QueueMachine::new(
-            4,
+        let m = flat(
             vec![
                 vec![
                     spec(0, Some(7), AffinityKind::Task),
@@ -396,8 +441,7 @@ mod tests {
     #[test]
     fn steal_path_conserves_tasks() {
         // Server 1 has no script: it must steal server 0's set.
-        let mut m = QueueMachine::new(
-            4,
+        let mut m = flat(
             vec![
                 vec![
                     spec(0, Some(7), AffinityKind::Task),
@@ -410,7 +454,7 @@ mod tests {
         m.step(QueueOp::Push { server: 0 });
         m.step(QueueOp::Push { server: 0 });
         m.check().unwrap();
-        m.step(QueueOp::Steal { thief: 1, victim: 0 });
+        m.step(QueueOp::Steal { thief: 1 });
         m.check().unwrap();
         m.step(QueueOp::Pop { server: 1 });
         m.step(QueueOp::Pop { server: 1 });
@@ -421,26 +465,24 @@ mod tests {
 
     #[test]
     fn lose_on_steal_defect_breaks_conservation() {
-        let mut m = QueueMachine::new(
-            4,
+        let mut m = flat(
             vec![vec![spec(0, Some(7), AffinityKind::Task)], vec![]],
             QueueDefect::LoseOnSteal,
         );
         m.step(QueueOp::Push { server: 0 });
-        m.step(QueueOp::Steal { thief: 1, victim: 0 });
+        m.step(QueueOp::Steal { thief: 1 });
         let err = m.check().unwrap_err();
         assert!(err.contains("conservation"), "unexpected error: {err}");
     }
 
     #[test]
     fn dup_on_steal_defect_breaks_exactly_once() {
-        let mut m = QueueMachine::new(
-            4,
+        let mut m = flat(
             vec![vec![spec(0, Some(7), AffinityKind::Task)], vec![]],
             QueueDefect::DupOnSteal,
         );
         m.step(QueueOp::Push { server: 0 });
-        m.step(QueueOp::Steal { thief: 1, victim: 0 });
+        m.step(QueueOp::Steal { thief: 1 });
         m.step(QueueOp::Pop { server: 1 });
         m.step(QueueOp::Pop { server: 1 });
         let err = m.check().unwrap_err();
@@ -449,8 +491,7 @@ mod tests {
 
     #[test]
     fn state_key_is_deterministic_and_distinguishes_states() {
-        let m1 = QueueMachine::new(
-            4,
+        let m1 = flat(
             vec![vec![spec(0, None, AffinityKind::None)]],
             QueueDefect::None,
         );
@@ -458,5 +499,63 @@ mod tests {
         assert_eq!(m1.state_key(), m2.state_key());
         m2.step(QueueOp::Push { server: 0 });
         assert_ne!(m1.state_key(), m2.state_key());
+    }
+
+    #[test]
+    fn object_affinity_work_waits_for_the_desperation_threshold() {
+        // Server 0's only task prefers home: server 1's first
+        // `last_resort_after` scans fail, the next one takes it.
+        let mut m = flat(
+            vec![vec![spec(0, Some(7), AffinityKind::Object)], vec![], vec![]],
+            QueueDefect::None,
+        );
+        m.step(QueueOp::Push { server: 0 });
+        for _ in 0..StealPolicy::default().last_resort_after {
+            m.step(QueueOp::Steal { thief: 1 });
+            assert_eq!(m.queues[1].len(), 0);
+        }
+        m.step(QueueOp::Steal { thief: 1 });
+        assert_eq!(m.queues[1].len(), 1);
+        assert_eq!(m.failed_scans, [0, 0, 0]);
+        m.check().unwrap();
+    }
+
+    fn cluster_machine(defect: QueueDefect) -> QueueMachine {
+        // Two clusters of two; server 2's only loaded victim is server 0,
+        // in the other cluster.
+        QueueMachine::new(
+            4,
+            Topology::clustered(4, 2),
+            StealPolicy::cluster_only(),
+            vec![
+                vec![spec(0, None, AffinityKind::None)],
+                vec![],
+                vec![],
+                vec![],
+            ],
+            defect,
+        )
+    }
+
+    #[test]
+    fn cluster_only_scan_holds_the_ceiling() {
+        let mut m = cluster_machine(QueueDefect::None);
+        m.step(QueueOp::Push { server: 0 });
+        assert!(m.enabled().contains(&QueueOp::Steal { thief: 2 }));
+        m.step(QueueOp::Steal { thief: 2 });
+        assert_eq!(m.failed_scans[2], 1);
+        m.check().unwrap();
+        m.step(QueueOp::Pop { server: 0 });
+        assert!(m.enabled().is_empty());
+        m.check_terminal().unwrap();
+    }
+
+    #[test]
+    fn steal_past_ceiling_defect_breaks_the_ceiling() {
+        let mut m = cluster_machine(QueueDefect::StealPastCeiling);
+        m.step(QueueOp::Push { server: 0 });
+        m.step(QueueOp::Steal { thief: 2 });
+        let err = m.check().unwrap_err();
+        assert!(err.contains("steal ceiling"), "unexpected error: {err}");
     }
 }

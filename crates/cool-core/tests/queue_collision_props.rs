@@ -60,7 +60,7 @@ proptest! {
             for w in batch.tasks.windows(2) {
                 prop_assert!(w[0].1 < w[1].1, "steal reordered a set");
             }
-            thief.push_stolen(batch, AffinityKind::Task);
+            thief.push_stolen(batch);
             // (b) the re-inserted set is contiguous at the FRONT of the
             // thief's service order, even when its slot already holds
             // collided sets.
@@ -140,15 +140,10 @@ proptest! {
                 }
                 None => prop_assert_eq!(batch.tasks.len(), 1, "unlabelled steals are singles"),
             }
-            let kind = if batch.token.is_some() {
-                AffinityKind::Task
-            } else {
-                AffinityKind::None
-            };
             for &(_, seq) in &batch.tasks {
                 prop_assert!(produced.insert(seq), "task {seq} stolen twice");
             }
-            thief.push_stolen(batch, kind);
+            thief.push_stolen(batch);
             check(&victim)?;
             check(&thief)?;
             prop_assert_eq!(victim.len() + thief.len(), total);

@@ -59,7 +59,7 @@ proptest! {
                     }
                 }
                 Op::Steal { polite } => {
-                    if let Some(batch) = q.steal(polite) {
+                    if let Some(batch) = q.steal_with(polite, true) {
                         prop_assert!(!batch.tasks.is_empty());
                         for t in batch.tasks {
                             prop_assert!(produced.insert(t), "task {t} produced twice");
@@ -109,7 +109,7 @@ proptest! {
             // Payload records whether this task is an Object-affinity task.
             q.push_affinity(ObjRef(tok as u64), kind, is_obj);
         }
-        while let Some(batch) = q.steal(true) {
+        while let Some(batch) = q.steal_with(true, true) {
             for is_obj in batch.tasks {
                 prop_assert!(!is_obj, "polite steal moved an object-affinity task");
             }

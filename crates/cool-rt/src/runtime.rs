@@ -37,9 +37,8 @@ use parking_lot::{Condvar, Mutex};
 
 use cool_core::affinity::hash_token;
 use cool_core::{
-    AdaptiveConfig, AffinityKind, AffinitySpec, Event, EventLog, FaultPlan, ObjRef,
-    PolicyFeedback, ProcId, Recorder, Recording, SchedStats, ServerQueues, StealPolicy, TaskError,
-    TaskUid, Topology, VictimOrders,
+    AffinityKind, AffinitySpec, Event, EventLog, FaultPlan, ObjRef, ProcId, Recorder, Recording,
+    SchedStats, ServerQueues, StealPolicy, TaskError, TaskUid, Topology, VictimOrders,
 };
 
 use crate::faults::FaultInjector;
@@ -84,13 +83,6 @@ pub struct RtConfig {
     /// the workers on an N-level tree (see [`Topology::tree`]) so the
     /// per-level steal knobs of [`StealPolicy`] have levels to widen over.
     pub topology: Option<Topology>,
-    /// Closed-loop policy adaptation (see [`cool_core::feedback`]): each
-    /// worker keeps a private [`PolicyFeedback`] aggregator fed at its own
-    /// task boundaries, so no cross-thread timing enters the control loop.
-    /// The threaded runtime has no memory model, so only the starvation
-    /// widening and probe-cap controls engage (the migration throttle
-    /// never sees a remote-miss signal). `None` keeps every knob static.
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl RtConfig {
@@ -104,7 +96,6 @@ impl RtConfig {
             stall_timeout: None,
             record_trace: false,
             topology: None,
-            adaptive: None,
         }
     }
 
@@ -132,12 +123,6 @@ impl RtConfig {
     /// *completions*, so one long body looks the same as a stall.
     pub fn with_stall_timeout(mut self, interval: Duration) -> Self {
         self.stall_timeout = Some(interval);
-        self
-    }
-
-    /// Enable closed-loop policy adaptation (see [`RtConfig::adaptive`]).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = Some(adaptive);
         self
     }
 }
@@ -424,8 +409,6 @@ struct Inner {
     /// (the per-scan `steal_order` allocation sat on the idle hot path).
     victims: VictimOrders,
     policy: StealPolicy,
-    /// Adaptation knobs each worker builds its private aggregator from.
-    adaptive: Option<AdaptiveConfig>,
     placement: Placement,
     held: HeldSet,
     /// Fault injection, if this runtime was built with a plan.
@@ -606,7 +589,6 @@ impl Runtime {
             victims: topology.victim_orders(),
             topology,
             policy: cfg.policy,
-            adaptive: cfg.adaptive,
             placement: Placement::new(),
             held: HeldSet::new(),
             faults: plan.map(|p| FaultInjector::new(p, cfg.nthreads)),
@@ -885,12 +867,6 @@ fn worker_loop(inner: &Inner, me: ProcId) {
     // Consecutive mutex rotations with no task executed: drives the bounded
     // backoff that replaces a hot requeue/yield spin under contention.
     let mut mutex_rotations = 0usize;
-    // Private per-worker feedback aggregator: fed only from this worker's
-    // own task boundaries and scans, so adaptation never couples workers
-    // through shared mutable state (see `cool_core::feedback`).
-    let mut feedback = inner
-        .adaptive
-        .map(|a| PolicyFeedback::new(a, inner.topology.nlevels()));
     loop {
         // 0. Shutdown: leave promptly even with work still queued, so a
         // dropped Runtime joins. Discarded tasks notify their scopes via
@@ -899,7 +875,7 @@ fn worker_loop(inner: &Inner, me: ProcId) {
             return;
         }
         // 1. Local work.
-        let (popped, depth) = {
+        let popped = {
             let mut q = server.inbox.queue.lock();
             let depth = q.tasks.len();
             let popped = q.tasks.pop_local_info();
@@ -913,7 +889,7 @@ fn worker_loop(inner: &Inner, me: ProcId) {
                     },
                 );
             }
-            (popped, depth)
+            popped
         };
         if let Some(popped) = popped {
             if popped.drained && inner.obs_on() {
@@ -932,14 +908,6 @@ fn worker_loop(inner: &Inner, me: ProcId) {
             failed_scans = 0;
             if run_or_rotate(inner, me, kind, queued) {
                 mutex_rotations = 0;
-                // Task-boundary feedback sample. The host runtime has no
-                // memory model, so the reference signals are zero and only
-                // the widening/probe-cap controls can engage.
-                if let Some(fb) = feedback.as_mut() {
-                    if fb.note_task(0, 0, depth) {
-                        server.own.stats.lock().adaptive_widenings += 1;
-                    }
-                }
             } else {
                 mutex_rotations += 1;
                 if mutex_rotations >= MUTEX_PARK_AFTER {
@@ -953,96 +921,50 @@ fn worker_loop(inner: &Inner, me: ProcId) {
             }
             continue;
         }
-        // 2. Steal.
-        if inner.policy.enabled {
-            let desperate = failed_scans >= inner.policy.last_resort_after;
-            // Strict locality ceilings (see cool-sim): desperation lifts
-            // only the object-affinity avoidance, never the cluster/radius
-            // boundary; polite widening raises itself per failed scan.
-            let allowed = inner.policy.allowed_level(&inner.topology, failed_scans);
-            // Adaptive widening and probe capping, from this worker's own
-            // feedback (see cool-sim's steal scan for the same controls).
-            let (allowed, probe_cap) = match &feedback {
-                Some(fb) => (allowed.saturating_add(fb.extra_levels()), fb.probe_cap()),
-                None => (allowed, usize::MAX),
-            };
-            let mem_level = inner.topology.mem_level() as u8;
-            let mut stolen = None;
-            let mut probes = 0usize;
-            for &(v, lvl) in inner.victims.order(me) {
-                if (lvl as usize) > allowed {
-                    continue;
-                }
-                if probes >= probe_cap {
-                    break;
-                }
-                let cross = lvl > mem_level;
-                probes += 1;
-                let avoid = inner.policy.avoid_object_affinity && !desperate;
-                let batch = inner.servers[v.index()]
+        // 2. Steal. The scan locks one victim queue at a time and this
+        // server's stats once, after the walk.
+        let scan = inner.policy.scan(
+            &inner.topology,
+            inner.victims.order(me),
+            &mut failed_scans,
+            None,
+            || server.own.stats.lock(),
+            |v, avoid, whole| {
+                inner.servers[v.index()]
                     .inbox
                     .queue
                     .lock()
                     .tasks
-                    .steal_with(avoid, inner.policy.steal_whole_sets);
-                if let Some(batch) = batch {
-                    let mut st = server.own.stats.lock();
-                    st.tasks_stolen += batch.tasks.len() as u64;
-                    if batch.token.is_some() {
-                        st.sets_stolen += 1;
-                    }
-                    if cross {
-                        st.remote_steals += 1;
-                    }
-                    if desperate {
-                        st.desperate_steals += 1;
-                    }
-                    st.steals_by_level[lvl as usize] += 1;
-                    drop(st);
+                    .steal_with(avoid, whole)
+            },
+        );
+        if let Some(scan) = scan {
+            match scan.stolen {
+                Some((victim, batch)) => {
                     if inner.obs_on() {
                         inner.obs_emit(
                             mi,
                             Event::StealSuccess {
                                 thief: me,
-                                victim: v,
+                                victim,
                                 token: batch.token,
                                 ntasks: batch.tasks.len(),
                                 time: inner.now_ns(),
                             },
                         );
                     }
-                    stolen = Some(batch);
-                    break;
-                }
-            }
-            if let Some(fb) = feedback.as_mut() {
-                fb.note_scan(stolen.is_none());
-            }
-            match stolen {
-                Some(batch) => {
-                    let kind = if batch.token.is_some() {
-                        AffinityKind::Task
-                    } else {
-                        AffinityKind::None
-                    };
-                    server.inbox.queue.lock().tasks.push_stolen(batch, kind);
-                    failed_scans = 0;
+                    server.inbox.queue.lock().tasks.push_stolen(batch);
                     continue;
                 }
-                None => {
-                    failed_scans += 1;
-                    server.own.stats.lock().failed_steals += 1;
-                    if inner.obs_on() {
-                        inner.obs_emit(
-                            mi,
-                            Event::StealFail {
-                                thief: me,
-                                probes,
-                                time: inner.now_ns(),
-                            },
-                        );
-                    }
-                }
+                None if inner.obs_on() => inner.obs_emit(
+                    mi,
+                    Event::StealFail {
+                        thief: me,
+                        probes: scan.probes,
+                        time: inner.now_ns(),
+                    },
+                ),
+                None => {}
             }
         }
         // 3. Sleep until woken or shutdown.
@@ -1421,16 +1343,28 @@ mod tests {
         // parks instead of spinning.
         let rt = Runtime::new(RtConfig::new(2).with_policy(StealPolicy::disabled()));
         let obj = rt.placement().alloc_on(ProcId(0));
+        // Both waits are bounded, so a regression fails instead of hanging.
+        let wait_for = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let holding = Arc::new(AtomicBool::new(false));
+        let flag = holding.clone();
         rt.scope(|s| {
             s.spawn(
-                RtTask::new(|_| {
-                    std::thread::sleep(Duration::from_millis(20));
+                RtTask::new(move |ctx| {
+                    flag.store(true, Ordering::SeqCst);
+                    // Hold the lock until server 1 has parked, however slowly
+                    // it rotates under load.
+                    wait_for(&|| ctx.inner.total_stats().mutex_parks > 0);
                 })
                 .with_mutex(obj)
                 .with_affinity(AffinitySpec::processor(0)),
             );
-            // Give the holder a head start so the rest always collide.
-            std::thread::sleep(Duration::from_millis(2));
+            // Spawn the rest once the holder has the lock, so they collide.
+            wait_for(&|| holding.load(Ordering::SeqCst));
             for _ in 0..4 {
                 s.spawn(
                     RtTask::new(|_| {})

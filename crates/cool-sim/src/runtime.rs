@@ -884,109 +884,56 @@ impl SimRuntime {
                 self.machine.monitor_mut().proc_mut(pi).idle_cycles += delay;
             }
         }
-        let policy = self.cfg.policy;
-        if policy.enabled {
-            let desperate = self.failed_scans[pi] >= policy.last_resort_after;
-            // Locality ceilings are strict: the whole point of the Section
-            // 6.3 experiment is that stolen tasks keep referencing their
-            // objects in cluster-local memory, so desperation lifts only
-            // the object-affinity avoidance, never the cluster boundary
-            // (or its generalizations: the per-level radius, and the polite
-            // widening that raises itself one level per failed scan).
-            let allowed = policy.allowed_level(&self.topology, self.failed_scans[pi]);
-            // Adaptive widening: the feedback loop lifts the static ceiling
-            // by whole topology levels while observed steal failure shows
-            // starvation (and decays it back once steals succeed). The
-            // probe cap bounds how many victims this scan may touch.
-            let (allowed, probe_cap) = match &self.feedback {
-                Some(fb) => (
-                    allowed.saturating_add(fb.extra_levels()),
-                    fb.probe_cap() as u64,
-                ),
-                None => (allowed, u64::MAX),
-            };
-            let mem_level = self.topology.mem_level() as u8;
-            let mut probes = 0u64;
-            for i in 0..self.victims.len_per_thief() {
-                let (v, lvl) = self.victims.entry(p, i);
-                // Victim orders are level-sorted: past the ceiling, every
-                // remaining victim is too.
-                if (lvl as usize) > allowed || probes >= probe_cap {
-                    break;
+        let queues = &mut self.queues;
+        let scan = self.cfg.policy.scan(
+            &self.topology,
+            self.victims.order(p),
+            &mut self.failed_scans[pi],
+            self.feedback.as_mut(),
+            || &mut self.stats,
+            // An empty victim still costs its probe, but has nothing to steal.
+            |v, avoid, whole| {
+                let v = v.index();
+                if queues.is_busy(v) {
+                    queues.steal_with(v, avoid, whole)
+                } else {
+                    None
                 }
-                let cross_cluster = lvl > mem_level;
-                probes += 1;
-                // An empty victim still costs its probe, but has nothing to
-                // steal.
-                if !self.queues.is_busy(v.index()) {
-                    continue;
-                }
-                let avoid_object = policy.avoid_object_affinity && !desperate;
-                if let Some(batch) =
-                    self.queues
-                        .steal_with(v.index(), avoid_object, policy.steal_whole_sets)
-                {
-                    let n = batch.tasks.len() as u64;
-                    let stolen_token = batch.token;
-                    self.stats.tasks_stolen += n;
-                    if batch.token.is_some() {
-                        self.stats.sets_stolen += 1;
-                    }
-                    if cross_cluster {
-                        self.stats.remote_steals += 1;
-                    }
-                    if desperate {
-                        self.stats.desperate_steals += 1;
-                    }
-                    self.stats.steals_by_level[lvl as usize] += 1;
-                    // Stolen tasks keep their original target for adherence
-                    // accounting; re-steal classification is Task for sets
-                    // (their collocation is already broken) and None for
-                    // singles.
-                    let kind = if batch.token.is_some() {
-                        AffinityKind::Task
-                    } else {
-                        AffinityKind::None
-                    };
-                    self.queues.push_stolen(pi, batch, kind);
-                    let cost = probes * self.cfg.steal_probe_cost + self.cfg.steal_xfer_cost;
-                    self.clocks[pi] += cost;
-                    self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
-                    self.failed_scans[pi] = 0;
+            },
+        );
+        if let Some(scan) = scan {
+            let mut cost = scan.probes as u64 * self.cfg.steal_probe_cost;
+            if scan.stolen.is_some() {
+                cost += self.cfg.steal_xfer_cost;
+            }
+            self.clocks[pi] += cost;
+            self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
+            match scan.stolen {
+                Some((victim, batch)) => {
                     if self.recording() {
                         self.emit(Event::StealSuccess {
                             thief: p,
-                            victim: v,
-                            token: stolen_token,
-                            ntasks: n as usize,
+                            victim,
+                            token: batch.token,
+                            ntasks: batch.tasks.len(),
                             time: self.clocks[pi],
                         });
                     }
-                    if let Some(fb) = self.feedback.as_mut() {
-                        fb.note_scan(false);
-                    }
-                    // Run the first stolen task immediately. Besides matching
-                    // what a real thief does, this guarantees progress: a
-                    // steal always executes at least one task, so whole-set
-                    // steals cannot ping-pong a set between idle servers
-                    // indefinitely.
+                    // Stolen tasks keep their original target for adherence
+                    // accounting. Run the first one immediately. Besides
+                    // matching what a real thief does, this guarantees
+                    // progress: a steal always executes at least one task, so
+                    // whole-set steals cannot ping-pong a set between idle
+                    // servers indefinitely.
+                    self.queues.push_stolen(pi, batch);
                     return self.dispatch(p);
                 }
-            }
-            let cost = probes * self.cfg.steal_probe_cost;
-            self.clocks[pi] += cost;
-            self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;
-            self.failed_scans[pi] += 1;
-            self.stats.failed_steals += 1;
-            if let Some(fb) = self.feedback.as_mut() {
-                fb.note_scan(true);
-            }
-            if self.recording() {
-                self.emit(Event::StealFail {
+                None if self.recording() => self.emit(Event::StealFail {
                     thief: p,
-                    probes: probes as usize,
+                    probes: scan.probes,
                     time: self.clocks[pi],
-                });
+                }),
+                None => {}
             }
         }
         // Idle: advance past the earliest server that still has work, so it

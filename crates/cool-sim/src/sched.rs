@@ -132,15 +132,9 @@ impl<T> BusyQueues<T> {
     }
 
     /// [`ServerQueues::push_stolen`] on server `q`.
-    pub(crate) fn push_stolen(
-        &mut self,
-        q: usize,
-        batch: StolenBatch<T>,
-        kind: AffinityKind,
-    ) -> SlotUpdate {
-        let up = self.queues[q].push_stolen(batch, kind);
+    pub(crate) fn push_stolen(&mut self, q: usize, batch: StolenBatch<T>) {
+        self.queues[q].push_stolen(batch);
         self.sync(q);
-        up
     }
 
     /// [`ServerQueues::pop_local_info`] on server `q`.
@@ -246,7 +240,7 @@ mod tests {
                     }
                     _ => {
                         if let Some(batch) = qs.steal_with(q, flag, op == 4) {
-                            qs.push_stolen(thief, batch, AffinityKind::Task);
+                            qs.push_stolen(thief, batch);
                         }
                     }
                 }

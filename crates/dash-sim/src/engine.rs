@@ -250,18 +250,20 @@ impl Resource {
 
     /// Admit a transaction arriving at `now`: returns the cycles it waits
     /// before service begins, and commits the server through its service.
+    /// A zero-service resource is infinitely fast: it never delays an
+    /// arrival, in or out of time order.
     pub fn acquire(&mut self, now: u64) -> u64 {
+        self.stats.requests += 1;
+        if self.service == 0 {
+            self.stats.peak_occupancy = self.stats.peak_occupancy.max(1);
+            return 0;
+        }
         let start = self.next_free.max(now);
         let wait = start - now;
         // Occupancy at arrival: transactions ahead (whole service slots
         // still pending) plus this one.
-        let queued = if self.service == 0 {
-            0
-        } else {
-            wait.div_ceil(self.service)
-        };
+        let queued = wait.div_ceil(self.service);
         self.next_free = start + self.service;
-        self.stats.requests += 1;
         self.stats.wait_cycles += wait;
         self.stats.busy_cycles += self.service;
         self.stats.peak_occupancy = self.stats.peak_occupancy.max(queued + 1);
@@ -781,8 +783,42 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(r.acquire(0), 0);
         }
+        // Out of time order too: a late arrival commits nothing.
+        assert_eq!(r.acquire(100), 0);
+        assert_eq!(r.acquire(50), 0);
+        assert_eq!(r.stats().requests, 12);
         assert_eq!(r.stats().peak_occupancy, 1);
         assert_eq!(r.stats().busy_cycles, 0);
+        assert_eq!(r.stats().wait_cycles, 0);
+    }
+
+    #[test]
+    fn zero_service_bus_charges_only_the_memory_wait() {
+        let cfg = ContentionConfig {
+            bus_service: 0,
+            ..ContentionConfig::dash()
+        };
+        let mut e = Engine::new(cfg, 2);
+        let hops = |bus: usize, mem: usize| {
+            [
+                Hop {
+                    kind: ResourceKind::Bus,
+                    cluster: bus,
+                },
+                Hop {
+                    kind: ResourceKind::Mem,
+                    cluster: mem,
+                },
+            ]
+        };
+        assert_eq!(e.transact(100, &hops(0, 1)), 0);
+        // Memory 0 is busy until cycle 40 + 12.
+        assert_eq!(e.transact(40, &hops(1, 0)), 0);
+        // Arriving at bus 0 before the cycle-100 transaction did, this one
+        // passes straight through and waits only at memory 0.
+        assert_eq!(e.transact(50, &hops(0, 0)), 2);
+        assert_eq!(e.stats().bus.wait_cycles, 0);
+        assert_eq!(e.stats().mem.wait_cycles, 2);
     }
 
     #[test]
