@@ -9,10 +9,11 @@
 //! ```
 //!
 //! `--trace-out BASE` runs one app (default `gauss`; pick another of the six
-//! with `--trace-app NAME`) at the pinned fast scale with scheduler tracing
-//! enabled and writes `BASE.trace.json` — load it in Perfetto or
-//! `chrome://tracing` — plus `BASE.metrics.json`, the byte-stable
-//! `cool-metrics-v1` summary the CI gate diffs.
+//! with `--trace-app NAME`) at the pinned fast scale, on the contended
+//! 8-processor machine `results/smoke` uses, with scheduler tracing enabled
+//! and writes `BASE.trace.json` — load it in Perfetto or `chrome://tracing`
+//! — plus `BASE.metrics.json`, the byte-stable `cool-metrics-v1` summary
+//! the CI gate diffs.
 
 use apps::driver::Flags;
 use bench::ablation;
@@ -63,7 +64,7 @@ fn main() {
     if let Some(base) = flags.value("--trace-out") {
         let app = flags.value("--trace-app").unwrap_or("gauss");
         let version = apps::Version::AffinityDistr;
-        let cfg = apps::common::sim_config_small(8, version).with_trace();
+        let cfg = Scale::Small.config(8, version).with_trace();
         let report = apps::driver::run_app(app, cfg, version, None);
         let (trace, metrics) = apps::driver::trace_artifacts(&report);
         for (suffix, doc) in [("trace", &trace), ("metrics", &metrics)] {
