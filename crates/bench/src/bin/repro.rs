@@ -69,6 +69,13 @@ fn main() -> ExitCode {
     );
     let has = |f: &str| flags.has(f);
     let opt = |f: &str| flags.value(f).map(str::to_string);
+    let tol = match opt("--tolerance").map_or(Ok(0.02), |v| repro::parse_tolerance(&v)) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let scale = match opt("--scale").as_deref() {
         Some("full") => Scale::Full,
@@ -221,8 +228,6 @@ fn main() -> ExitCode {
     }
 
     if let Some(golden_path) = opt("--check") {
-        let tol: f64 = opt("--tolerance")
-            .map_or(0.02, |v| v.parse().expect("--tolerance takes a fraction"));
         let text = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("repro: cannot read golden {golden_path}: {e}"));
         let golden = repro::parse_records_doc(&text)

@@ -34,7 +34,7 @@ pub mod record;
 pub mod render;
 
 pub use cache::MemoCache;
-pub use check::drift;
+pub use check::{drift, parse_tolerance};
 pub use matrix::{adaptive_matrix, build_matrix, deep_matrix, full_matrix, smoke_matrix, MatrixPoint};
 pub use pool::{run_serial, run_sweep, SweepOptions, SweepOutcome};
 pub use record::{
