@@ -23,7 +23,7 @@ const SCHEMA: &str = "cool-bench-v1";
 const MAX_REGRESSION: f64 = 1.25;
 /// Budget for the zero-contention fast path: the `machine_micro` pipeline
 /// throughput (refs/sec) may fall at most 5% below the committed baseline.
-/// The micro stream never touches the discrete-event engine, so this pins
+/// The micro stream never touches the contention engine, so this pins
 /// the cost of carrying the engine alongside the legacy model.
 const MICRO_MAX_REGRESSION: f64 = 1.05;
 

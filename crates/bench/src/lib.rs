@@ -119,8 +119,8 @@ impl Scale {
         self.app_scale().name()
     }
 
-    /// Machine for `nprocs` processors. Both scales run the discrete-event
-    /// contention engine with the DASH service times — the figures model
+    /// Machine for `nprocs` processors. Both scales run the contention
+    /// engine with the DASH service times — the figures model
     /// queueing on buses, the mesh and directories, as the paper's machine
     /// did. (The zero-contention fast path stays reachable through
     /// `MachineConfig` directly; the lockstep equivalence suites pin it to

@@ -20,8 +20,8 @@ pub const REPRO_SCHEMA: &str = "cool-repro-v1";
 /// records that predate the change. Config mutations (machine, policy,
 /// inputs, processor count) are captured by the fingerprints themselves.
 ///
-/// Epoch 2: machine-scale sweeps run through the discrete-event contention
-/// engine (bus/net/directory/memory resources with queueing), and records
+/// Epoch 2: machine-scale sweeps run through the contention engine
+/// (bus/net/directory/memory resources with queueing), and records
 /// carry `wait_cycles` / `peak_occ`.
 pub const REPRO_EPOCH: u32 = 2;
 

@@ -497,10 +497,6 @@ impl SimRuntime {
         self.emit(Event::PhaseBegin { seq });
         self.spawn(Task::new(seed).with_label("phase-seed"));
         let out = self.drain();
-        // Phase boundary: run the contention engine's calendar dry so a
-        // trailing prefetch burst is accounted before reports are cut (a
-        // no-op in zero-contention mode).
-        self.machine.flush_contention();
         // Phase boundary: globally rebalance page homes against the phase's
         // observed traffic (a no-op unless `SimConfig::rebalance` is set).
         self.rebalance_pages();

@@ -20,18 +20,10 @@
 //!   path names the MRU way of its L1 set, and one promising exclusive
 //!   writes names a line the directory agrees is exclusively owned.
 //!
-//! When the discrete-event contention engine is installed
-//! ([`crate::engine`]), checked mode also validates its transaction-level
-//! invariants on every event-queue drain:
-//!
-//! * **txn-fifo** — each modeled resource (cluster bus, interconnect link,
-//!   directory controller, memory module) grants transactions in arrival
-//!   order within a drain: successive grants carry non-decreasing
-//!   `(cycle, sequence)` arrival keys — no transaction is reordered past
-//!   its resource's FIFO;
-//! * **txn-conservation** — in-flight transactions are conserved: every
-//!   transaction issued is either completed or still holds exactly one
-//!   hop event in the queue, so none are lost or duplicated.
+//! The contention engine ([`crate::engine`]) needs no checks of its own:
+//! it carries each transaction through all its hops when it is issued, so
+//! every resource grants in issue order and no transaction is left in
+//! flight to be reordered or lost.
 //!
 //! [`explore_protocol`] complements the per-transition checks with an
 //! exhaustive reachability pass over a 1-line × 2–4-cache configuration:
@@ -46,8 +38,7 @@ use crate::directory::Directory;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoherenceViolation {
     /// Name of the violated invariant (`swmr`, `agreement`,
-    /// `lost-invalidation`, `tracked-conservation`, `lookaside`,
-    /// `txn-fifo`, `txn-conservation`).
+    /// `lost-invalidation`, `tracked-conservation`, `lookaside`).
     pub invariant: &'static str,
     /// The cache line the violation was detected on (0 for global
     /// invariants such as tracked-conservation).

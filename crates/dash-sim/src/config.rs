@@ -159,11 +159,12 @@ pub struct MachineConfig {
     /// utilization of the available memory bandwidth". 0 disables the
     /// contention model.
     pub mem_occupancy: u64,
-    /// Discrete-event contention engine (see [`crate::engine`]). `None`
-    /// selects the zero-contention fast path: the legacy busy-pointer
-    /// model above, cycle-identical to the frozen oracle. `Some` routes
-    /// every miss through per-cluster bus/net/directory/memory resources
-    /// with service times and FIFO queueing, superseding `mem_occupancy`.
+    /// Contention engine (see [`crate::engine`]). `None` selects the
+    /// zero-contention fast path: the legacy busy-pointer model above,
+    /// cycle-identical to the frozen oracle. `Some` carries every miss and
+    /// prefetch fill through its per-cluster bus/net/directory/memory
+    /// hops, with service times and FIFO queueing in issue order,
+    /// superseding `mem_occupancy`.
     pub contention: Option<ContentionConfig>,
     /// N-level machine tree (see [`DeepTopology`]). `None` is the classic
     /// 2-level cluster machine — every existing configuration — and keeps
@@ -199,7 +200,7 @@ impl MachineConfig {
         }
     }
 
-    /// Install the discrete-event contention engine (builder style).
+    /// Install the contention engine (builder style).
     pub fn with_contention(mut self, c: ContentionConfig) -> Self {
         self.contention = Some(c);
         self

@@ -10,7 +10,7 @@
 //! cross-processor invalidations, dirty-owner downgrades, first-touch
 //! claiming and migration purges.
 //!
-//! Since the discrete-event contention engine landed, these suites are also
+//! Since the contention engine landed, these suites are also
 //! the gate on *zero-contention mode*: every config here has
 //! `contention: None`, which must select a code path cycle- and
 //! counter-identical to the frozen oracle ([`zero_contention_mode_matches_oracle`]
@@ -262,7 +262,7 @@ proptest! {
     }
 
     /// Zero-contention mode, pinned explicitly: a config without the
-    /// discrete-event engine must be the *same machine* as the frozen
+    /// contention engine must be the *same machine* as the frozen
     /// oracle — identical cycles, counters and state over mixed streams
     /// with migrations — and must report no contention activity at all.
     #[test]
@@ -300,14 +300,13 @@ proptest! {
         }
         assert_same_state(&fast, &slow, &regions, nprocs)?;
         prop_assert_eq!(fast.contention_stats(), crate::ContentionStats::default());
-        prop_assert_eq!(fast.contention_events(), 0);
     }
 
     /// The determinism property for contended configs (no oracle exists for
     /// them): the same seed/config/stream run twice produces byte-identical
-    /// per-access latencies, monitor counters, contention statistics and
-    /// dispatched-event counts. The engine is part of the single-threaded
-    /// simulator, so this cannot depend on host parallelism.
+    /// per-access latencies, monitor counters and contention statistics.
+    /// The engine is part of the single-threaded simulator, so this cannot
+    /// depend on host parallelism.
     #[test]
     fn contended_mode_is_deterministic(
         ops in prop::collection::vec(
@@ -342,21 +341,19 @@ proptest! {
                 costs.push(cost);
                 now += cost;
             }
-            m.flush_contention();
             let counters: Vec<_> = (0..nprocs).map(|p| *m.monitor().proc(p)).collect();
-            (costs, counters, m.contention_stats(), m.contention_events())
+            (costs, counters, m.contention_stats())
         };
         let first = run(&ops);
         let second = run(&ops);
         prop_assert_eq!(&first.0, &second.0, "per-access latencies diverged");
         prop_assert_eq!(&first.1, &second.1, "monitor counters diverged");
         prop_assert_eq!(first.2, second.2, "contention stats diverged");
-        prop_assert_eq!(first.3, second.3, "event counts diverged");
         // Any reference op on a cold machine misses, so the engine must
-        // have dispatched events (a stream of only migrations dispatches
+        // have carried transactions (a stream of only migrations carries
         // none).
         if ops.iter().any(|&(kind, ..)| kind < 15) {
-            prop_assert!(first.3 > 0, "no events dispatched");
+            prop_assert!(first.2.total_requests() > 0, "no transactions carried");
         }
     }
 }

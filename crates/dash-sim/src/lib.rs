@@ -19,19 +19,18 @@
 //!   stand-in for the DASH performance monitor of Section 6.
 //! * [`machine`] — the façade tying it together: `read`/`write`/`compute`
 //!   charge cycles to a processor and update caches, directory and monitor.
-//! * [`engine`] — the discrete-event contention engine: per-cluster bus,
+//! * [`engine`] — the contention engine: per-cluster bus,
 //!   interconnect-link, directory and memory resources with service times
-//!   and FIFO queueing, dispatched from a monotonic event queue, so
+//!   and FIFO queueing. Each miss folds through its hops when issued, so
 //!   concurrent misses interfere instead of each paying a latency constant.
 //!   Opt-in via [`MachineConfig::with_contention`]; without it the machine
 //!   keeps the zero-contention fast path, cycle-identical to the frozen
 //!   oracle.
 //! * [`check`] — the coherence-invariant catalogue (SWMR, directory/cache
 //!   agreement, lost invalidations, tracked-count conservation, lookaside
-//!   soundness, plus the engine's txn-fifo and txn-conservation) validated
-//!   per-transition in checked mode ([`Machine::enable_checked`]), plus an
-//!   exhaustive 1-line × 2–4-cache protocol reachability pass
-//!   ([`explore_protocol`]).
+//!   soundness) validated per-transition in checked mode
+//!   ([`Machine::enable_checked`]), plus an exhaustive 1-line × 2–4-cache
+//!   protocol reachability pass ([`explore_protocol`]).
 //!
 //! The simulation is *execution-driven at task grain*: application code runs
 //! natively and mirrors its memory accesses into the machine, which decides

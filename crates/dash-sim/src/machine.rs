@@ -7,7 +7,7 @@
 //! the access cost, which the scheduler adds to the issuing processor's
 //! virtual clock.
 
-use cool_core::{NodeId, ObjRef, ProcId, MAX_TOPO_LEVELS};
+use cool_core::{ClusterId, NodeId, ObjRef, ProcId, MAX_TOPO_LEVELS};
 
 use crate::cache::{Level, ProcCache};
 use crate::check::{CheckState, CoherenceViolation};
@@ -19,6 +19,11 @@ use crate::space::AddressSpace;
 
 /// Sentinel line/page number for an empty lookaside slot.
 const NO_LINE: u64 = u64::MAX;
+
+/// Most hops a miss takes: a dirty three-hop on the deepest machine tree
+/// (requester bus + up to `MAX_TOPO_LEVELS` links toward home + home
+/// directory + up to `MAX_TOPO_LEVELS` links toward the owner + owner bus).
+const MAX_MISS_HOPS: usize = 3 + 2 * MAX_TOPO_LEVELS;
 
 /// Per-processor lookaside: short-circuits the common case of a reference
 /// hitting the line the processor touched last, without walking the cache
@@ -119,7 +124,7 @@ pub struct Machine {
     /// occupied servicing earlier requests (legacy contention model; used
     /// only in zero-contention mode, i.e. when `engine` is `None`).
     node_busy: Vec<u64>,
-    /// Discrete-event contention engine (`Some` iff `cfg.contention` is).
+    /// Contention engine (`Some` iff `cfg.contention` is).
     /// When installed, misses become multi-hop transactions queueing at
     /// per-cluster bus/net/directory/memory resources instead of taking
     /// the busy-pointer shortcut above.
@@ -395,42 +400,9 @@ impl Machine {
             // Bandwidth: the fill consumes memory-system capacity even
             // though its latency is hidden.
             if self.engine.is_some() {
-                // Post the fill as a clean-miss transaction. It stays on
-                // the event queue and is drained alongside (and ahead of,
-                // when its timestamp is earlier) later demand misses, which
-                // genuinely queue behind it at the shared resources.
-                let home = self.space.home(ObjRef(addr)).index();
-                let rc = self.cfg.cluster_of(p);
-                let mut hops = [Hop {
-                    kind: ResourceKind::Bus,
-                    cluster: rc.index(),
-                }; 3 + MAX_TOPO_LEVELS];
-                let mut n = 1;
-                // Interconnect links toward home: on a classic machine a
-                // remote home is exactly one hop at the home cluster's link;
-                // on a deep machine the crossing descends the home-side
-                // domain links.
-                let mut path = [0usize; MAX_TOPO_LEVELS];
-                let np = self.cfg.net_path(rc, cool_core::ClusterId(home), &mut path);
-                for &link in &path[..np] {
-                    hops[n] = Hop {
-                        kind: ResourceKind::Net,
-                        cluster: link,
-                    };
-                    n += 1;
-                }
-                hops[n] = Hop {
-                    kind: ResourceKind::Dir,
-                    cluster: home,
-                };
-                hops[n + 1] = Hop {
-                    kind: ResourceKind::Mem,
-                    cluster: home,
-                };
-                n += 2;
-                if let Some(eng) = self.engine.as_mut() {
-                    eng.post(now + cycles, &hops[..n]);
-                }
+                // The fill takes a clean miss's route at issue, reserving
+                // the shared resources in issue order; its wait is hidden.
+                self.contend(self.cfg.cluster_of(p), line, None, now + cycles);
             } else if self.cfg.mem_occupancy > 0 {
                 let module = self.space.home(ObjRef(addr)).index();
                 let busy = &mut self.node_busy[module];
@@ -625,64 +597,16 @@ impl Machine {
             cycles += self.cfg.lat.dirty_penalty;
         }
         if self.engine.is_some() {
-            // Discrete-event mode: the miss is a multi-hop transaction
-            // through per-cluster resources. The requester's bus carries it
-            // out, a remote home adds an interconnect-link hop, the home
-            // directory arbitrates, and either the home memory module
-            // supplies the line or (dirty three-hop) the owner's cluster is
-            // visited instead. Hop service times occupy the resources —
-            // bandwidth is consumed — but only the *queue wait* is charged
-            // on top of the base latency above, so at zero load this mode
-            // costs exactly what the constants cost.
-            let addr = line * self.cfg.l1.line_bytes;
-            let home = self.space.home(ObjRef(addr)).index();
-            let home_cluster = cool_core::ClusterId(home);
-            let mut hops = [Hop {
-                kind: ResourceKind::Bus,
-                cluster: my_cluster.index(),
-            }; 3 + 2 * MAX_TOPO_LEVELS];
-            let mut n = 1;
-            let mut path = [0usize; MAX_TOPO_LEVELS];
-            let np = self.cfg.net_path(my_cluster, home_cluster, &mut path);
-            for &link in &path[..np] {
-                hops[n] = Hop {
-                    kind: ResourceKind::Net,
-                    cluster: link,
-                };
-                n += 1;
-            }
-            hops[n] = Hop {
-                kind: ResourceKind::Dir,
-                cluster: home,
-            };
-            n += 1;
-            if from_dirty {
-                let oc = supplier_cluster.index();
-                let np = self.cfg.net_path(home_cluster, supplier_cluster, &mut path);
-                for &link in &path[..np] {
-                    hops[n] = Hop {
-                        kind: ResourceKind::Net,
-                        cluster: link,
-                    };
-                    n += 1;
-                }
-                hops[n] = Hop {
-                    kind: ResourceKind::Bus,
-                    cluster: oc,
-                };
-                n += 1;
-            } else {
-                hops[n] = Hop {
-                    kind: ResourceKind::Mem,
-                    cluster: home,
-                };
-                n += 1;
-            }
-            let eng = self.engine.as_mut().expect("engine mode");
-            let wait = eng.transact(now, &hops[..n]);
+            // Contended mode: the miss is a multi-hop transaction through
+            // per-cluster resources (see `Machine::contend`). Hop service
+            // times occupy the resources — bandwidth is consumed — but only
+            // the *queue wait* is charged on top of the base latency above,
+            // so at zero load this mode costs exactly what the constants
+            // cost.
+            let owner = from_dirty.then_some(supplier_cluster);
+            let wait = self.contend(my_cluster, line, owner, now);
             cycles += wait;
             self.mon.proc_mut(pi).contention_cycles += wait;
-            self.absorb_engine_violations();
         } else if self.cfg.mem_occupancy > 0 && !from_dirty {
             // Legacy (zero-contention-mode) model: the servicing module is
             // occupied for `mem_occupancy` cycles per request; requests
@@ -725,6 +649,46 @@ impl Machine {
         cycles
     }
 
+    /// Carry a miss on `line` by a processor of cluster `rc` through the
+    /// contention engine at `now` and return the wait to charge (see
+    /// [`Engine::transact`]). The route: the requester's bus, the
+    /// interconnect links toward the line's home, the home directory, then
+    /// the home memory module — or, when `owner`'s cluster holds the line
+    /// dirty, the links from the home toward it and its bus (three-hop).
+    /// On a classic machine a remote crossing is exactly one hop, at the
+    /// far cluster's link; on a deep machine it descends that side's
+    /// domain links.
+    fn contend(&mut self, rc: ClusterId, line: u64, owner: Option<ClusterId>, now: u64) -> u64 {
+        let home = ClusterId(self.space.home(ObjRef(line * self.cfg.l1.line_bytes)).index());
+        let mut hops = [Hop {
+            kind: ResourceKind::Bus,
+            cluster: rc.index(),
+        }; MAX_MISS_HOPS];
+        let mut n = 1;
+        let mut push = |kind, cluster| {
+            hops[n] = Hop { kind, cluster };
+            n += 1;
+        };
+        let mut path = [0usize; MAX_TOPO_LEVELS];
+        let np = self.cfg.net_path(rc, home, &mut path);
+        for &link in &path[..np] {
+            push(ResourceKind::Net, link);
+        }
+        push(ResourceKind::Dir, home.index());
+        match owner {
+            Some(oc) => {
+                let np = self.cfg.net_path(home, oc, &mut path);
+                for &link in &path[..np] {
+                    push(ResourceKind::Net, link);
+                }
+                push(ResourceKind::Bus, oc.index());
+            }
+            None => push(ResourceKind::Mem, home.index()),
+        }
+        let eng = self.engine.as_mut().expect("contended mode");
+        eng.transact(now, &hops[..n])
+    }
+
     // ----- page-traffic monitoring (rebalancer input) -----
 
     /// Start counting per-page miss traffic (idempotent). The counters are
@@ -758,27 +722,6 @@ impl Machine {
     pub fn enable_checked(&mut self) {
         if self.checked.is_none() {
             self.checked = Some(CheckState::default());
-        }
-        if let Some(eng) = self.engine.as_mut() {
-            eng.set_checked(true);
-        }
-    }
-
-    /// Move any transaction-invariant violations the contention engine
-    /// found (txn-fifo, txn-conservation) into the checked-mode state, so
-    /// they surface through [`Machine::violations`] like the coherence
-    /// catalogue. No-op when unchecked or in zero-contention mode.
-    fn absorb_engine_violations(&mut self) {
-        if self.checked.is_none() {
-            return;
-        }
-        let vs = match self.engine.as_mut() {
-            Some(eng) => eng.take_violations(),
-            None => return,
-        };
-        let chk = self.checked.as_mut().expect("checked");
-        for v in vs {
-            chk.record(v);
         }
     }
 
@@ -894,15 +837,6 @@ impl Machine {
         if self.checked.is_none() {
             return 0;
         }
-        // Sweep the contention engine too: run its calendar dry (the
-        // conservation check fires at end of drain) and absorb anything it
-        // found into the violation store.
-        let before = self.violation_count();
-        if let Some(eng) = self.engine.as_mut() {
-            eng.drain();
-        }
-        self.absorb_engine_violations();
-        let engine_found = self.violation_count() - before;
         let mut found = Vec::new();
         let mut with_state = 0usize;
         for line in 0..self.dir.table_len() as u64 {
@@ -933,7 +867,7 @@ impl Machine {
                 }
             }
         }
-        let n = found.len() as u64 + engine_found;
+        let n = found.len() as u64;
         let chk = self.checked.as_mut().expect("checked");
         chk.full_sweeps += 1;
         for v in found {
@@ -948,25 +882,6 @@ impl Machine {
     /// occupancy per resource class). All zeros in zero-contention mode.
     pub fn contention_stats(&self) -> ContentionStats {
         self.engine.as_ref().map(Engine::stats).unwrap_or_default()
-    }
-
-    /// Hop events the contention engine has dispatched (0 in
-    /// zero-contention mode). Part of the determinism contract: equal
-    /// configs and reference streams give byte-equal event counts.
-    pub fn contention_events(&self) -> u64 {
-        self.engine.as_ref().map_or(0, Engine::events_processed)
-    }
-
-    /// Run the contention engine's event calendar dry, servicing any
-    /// posted (prefetch) transactions still queued. Demand misses drain
-    /// the queue themselves; call this before reading final statistics so
-    /// a trailing prefetch burst is accounted. No-op in zero-contention
-    /// mode.
-    pub fn flush_contention(&mut self) {
-        if let Some(eng) = self.engine.as_mut() {
-            eng.drain();
-        }
-        self.absorb_engine_violations();
     }
 
     // ----- seeded defects (tests of the checker itself) -----
@@ -991,26 +906,6 @@ impl Machine {
     #[doc(hidden)]
     pub fn defect_bump_tracked(&mut self) {
         self.dir.defect_bump_tracked();
-    }
-
-    /// Seeded defect: poison the contention engine's per-resource FIFO
-    /// bookkeeping so its next drain's first grant appears reordered.
-    /// Fires `txn-fifo`. No-op in zero-contention mode.
-    #[doc(hidden)]
-    pub fn defect_reorder_fifo(&mut self) {
-        if let Some(eng) = self.engine.as_mut() {
-            eng.defect_reorder_fifo();
-        }
-    }
-
-    /// Seeded defect: account a transaction that never existed in the
-    /// contention engine. Fires `txn-conservation` at its next drain.
-    /// No-op in zero-contention mode.
-    #[doc(hidden)]
-    pub fn defect_leak_txn(&mut self) {
-        if let Some(eng) = self.engine.as_mut() {
-            eng.defect_leak_txn();
-        }
     }
 
     /// Seeded defect: force a lookaside entry to keep promising exclusive
@@ -1462,13 +1357,13 @@ mod tests {
 
     fn contended_machine(nprocs: usize) -> Machine {
         let mut cfg = MachineConfig::dash_small(nprocs);
-        cfg.mem_occupancy = 0; // isolate the event engine from the legacy model
+        cfg.mem_occupancy = 0; // isolate the engine from the legacy model
         Machine::new(cfg.with_contention(crate::engine::ContentionConfig::dash()))
     }
 
     #[test]
     fn engine_zero_load_costs_match_the_constants() {
-        // At zero load the event engine charges exactly the base latency
+        // At zero load the engine charges exactly the base latency
         // table: service times occupy resources but are not added on top.
         let mut m = contended_machine(8);
         let local = m.alloc_on_node(NodeId(0), 64);
@@ -1496,7 +1391,6 @@ mod tests {
         let s = m.contention_stats();
         assert!(s.total_wait() > 0);
         assert!(s.peak_occupancy() >= 2);
-        assert!(m.contention_events() > 0);
         // Much later, the resources are free again.
         let c3 = m.read_at(ProcId(2), obj.offset(128), 4, 100_000);
         assert_eq!(c3, m.config().lat.local_mem);
@@ -1517,7 +1411,7 @@ mod tests {
     fn engine_prefetch_consumes_bandwidth() {
         let mut m = contended_machine(8);
         let obj = m.alloc_on_node(NodeId(0), 4096);
-        // A prefetch burst posted at cycle 0 occupies cluster 0's memory
+        // A prefetch burst issued at cycle 0 occupies cluster 0's memory
         // system; the demand miss at the same instant queues behind it.
         m.prefetch(ProcId(3), obj, 256, 0);
         let c = m.read_at(ProcId(0), obj.offset(1024), 4, 0);
@@ -1525,7 +1419,6 @@ mod tests {
             c > m.config().lat.local_mem,
             "demand must queue behind prefetch fills: {c}"
         );
-        m.flush_contention();
         let s = m.contention_stats();
         assert!(s.mem.requests >= 16, "prefetch fills serviced: {s:?}");
     }
@@ -1549,8 +1442,7 @@ mod tests {
                     m.prefetch(p, o.offset((i * 64) % 4096), 64, i * 7);
                 }
             }
-            m.flush_contention();
-            (total, m.monitor().total(), m.contention_stats(), m.contention_events())
+            (total, m.monitor().total(), m.contention_stats())
         };
         assert_eq!(run(), run());
     }
@@ -1573,25 +1465,42 @@ mod tests {
     }
 
     #[test]
-    fn engine_seeded_reorder_fires_txn_fifo() {
-        let mut m = contended_machine(4);
-        m.enable_checked();
-        m.defect_reorder_fifo();
-        let obj = m.alloc_on_node(NodeId(0), 16);
-        m.read_at(ProcId(0), obj, 4, 0);
-        assert!(m.violation_count() > 0);
-        assert!(fired(&m, "txn-fifo"), "{:?}", m.violations());
+    fn engine_prefetch_reserves_resources_in_issue_order() {
+        // A prefetch folds through its hops when issued, so a demand miss
+        // issued after it queues behind it even with an earlier timestamp
+        // (a lagging processor clock). Service times: bus 2, dir 3, mem 12.
+        let mut m = contended_machine(8);
+        let obj = m.alloc_on_node(NodeId(0), 64);
+        // Prefetch at 500: bus0 [500,502), dir0 [502,505), mem0 [505,517).
+        m.prefetch(ProcId(3), obj, 4, 500);
+        // Read at 10: bus0 free at 502, waits 492, [502,504); dir0 free at
+        // 505, waits 1, [505,508); mem0 free at 517, waits 9. In all 502,
+        // under the 32 × 17-cycle cap.
+        let c = m.read_at(ProcId(0), obj.offset(16), 4, 10);
+        assert_eq!(c, m.config().lat.local_mem + 502);
+        assert_eq!(m.monitor().proc(0).contention_cycles, 502);
     }
 
     #[test]
-    fn engine_seeded_leak_fires_txn_conservation() {
-        let mut m = contended_machine(4);
-        m.enable_checked();
-        m.defect_leak_txn();
-        let obj = m.alloc_on_node(NodeId(0), 16);
-        m.read_at(ProcId(0), obj, 4, 0);
-        assert!(m.violation_count() > 0);
-        assert!(fired(&m, "txn-conservation"), "{:?}", m.violations());
+    fn engine_dirty_three_hop_in_one_cluster_crosses_its_bus_twice() {
+        // Processors 0 and 1 share cluster 0; the line is homed on cluster
+        // 1. Service times: bus 2, net 4, dir 3, mem 12.
+        let mut m = contended_machine(8);
+        let obj = m.alloc_on_node(NodeId(1), 64);
+        // Processor 0's write miss at 0: bus0 [0,2), net1 [2,6),
+        // dir1 [6,9), mem1 [9,21). Processor 0 now owns the line dirty.
+        assert_eq!(m.write_at(ProcId(0), obj, 4, 0), m.config().lat.remote_mem);
+        // Processor 1's read at 0 is a dirty three-hop back into its own
+        // cluster: bus0 waits 2, [2,4); net1 waits 2, [6,10); dir1 [10,13);
+        // net0 [13,17); bus0 again, free since 4, [17,19). The owner is
+        // local, so the base cost is local plus the dirty penalty.
+        let c = m.read_at(ProcId(1), obj, 4, 0);
+        let lat = m.config().lat;
+        assert_eq!(c, lat.local_mem + lat.dirty_penalty + 4);
+        let s = m.contention_stats();
+        assert_eq!((s.bus.requests, s.bus.wait_cycles), (3, 2));
+        assert_eq!((s.net.requests, s.net.wait_cycles), (3, 2));
+        assert_eq!((s.dir.requests, s.mem.requests), (2, 1));
     }
 
     #[test]
@@ -1600,10 +1509,6 @@ mod tests {
         let obj = m.alloc_on_node(NodeId(0), 64);
         m.read(ProcId(0), obj, 4);
         assert_eq!(m.contention_stats(), ContentionStats::default());
-        assert_eq!(m.contention_events(), 0);
-        m.flush_contention(); // no-op
-        m.defect_reorder_fifo(); // no-op
-        m.defect_leak_txn(); // no-op
         assert_eq!(m.violation_count(), 0);
     }
 

@@ -1,4 +1,4 @@
-//! Queueing-theory validation of the discrete-event contention engine.
+//! Queueing-theory validation of the contention engine.
 //!
 //! The engine's [`Resource`] is a deterministic-service FIFO server, so an
 //! open-loop Poisson arrival stream through one resource is an M/D/1 queue
@@ -152,16 +152,12 @@ fn engine_statistics_are_deterministic() {
                 Hop { kind: ResourceKind::Dir, cluster: home },
                 Hop { kind: ResourceKind::Mem, cluster: home },
             ];
-            if i % 5 == 0 {
-                eng.post(now, &hops);
-            } else {
-                eng.transact(now, &hops);
-            }
+            eng.transact(now, &hops);
         }
-        (eng.stats(), eng.events_processed(), eng.issued(), eng.completed())
+        eng.stats()
     };
     let a = run();
     let b = run();
     assert_eq!(a, b, "identical streams must produce identical statistics");
-    assert!(a.0.total_wait() > 0, "the stream should have contended");
+    assert!(a.total_wait() > 0, "the stream should have contended");
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's motivation for locality-aware scheduling is that DASH's
 //! buses, mesh and directories are *shared*: references that miss locally
-//! do not just pay latency, they queue. With the discrete-event engine
+//! do not just pay latency, they queue. With the contention engine
 //! enabled (repro epoch 2), the committed `results/full/` records carry
 //! per-point queue-wait totals, and this suite pins the qualitative facts
 //! the figures now rest on:
