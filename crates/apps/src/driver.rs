@@ -19,8 +19,8 @@
 //!   behind the committed reproduction tables in `results/`.
 //!
 //! It also holds [`Flags`], the small command-line parser every harness
-//! binary shares: unknown flags and missing values are errors, and `--help`
-//! prints usage without running anything.
+//! binary shares: unknown flags, missing values and malformed values are
+//! errors, and `--help` prints usage without running anything.
 
 use cool_core::FaultPlan;
 use cool_sim::SimConfig;
@@ -429,6 +429,8 @@ pub struct Flags {
     switches: Vec<String>,
     values: Vec<(String, String)>,
     positional: Vec<String>,
+    /// Printed with any problem (empty unless built by [`Flags::from_env`]).
+    usage: &'static str,
 }
 
 impl Flags {
@@ -470,19 +472,49 @@ impl Flags {
     /// Parse the process's arguments, or exit: `--help` prints `usage` to
     /// stdout and exits 0; a bad command line prints the problem and
     /// `usage` to stderr and exits 2.
-    pub fn from_env(usage: &str, switches: &[&str], options: &[&str], max_positional: usize) -> Flags {
+    pub fn from_env(
+        usage: &'static str,
+        switches: &[&str],
+        options: &[&str],
+        max_positional: usize,
+    ) -> Flags {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Flags::parse(&args, switches, options, max_positional) {
-            Ok(Some(flags)) => flags,
+            Ok(Some(flags)) => Flags { usage, ..flags },
             Ok(None) => {
                 println!("{usage}");
                 std::process::exit(0);
             }
-            Err(e) => {
-                eprintln!("error: {e}\n{usage}");
-                std::process::exit(2);
-            }
+            Err(e) => Flags { usage, ..Flags::default() }.fail(&e),
         }
+    }
+
+    /// Print `problem` and the usage to stderr and exit 2, as for any bad
+    /// command line.
+    pub fn fail(&self, problem: &str) -> ! {
+        eprintln!("error: {problem}\n{}", self.usage);
+        std::process::exit(2);
+    }
+
+    /// The value of option `flag` converted by `parse`: `Ok(None)` if the
+    /// option was not given, `Err` saying the flag `takes` something else
+    /// if `parse` rejects the value.
+    pub fn try_parsed<T>(
+        &self,
+        flag: &str,
+        takes: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => parse(v).map(Some).ok_or_else(|| format!("{flag} takes {takes}, got {v:?}")),
+        }
+    }
+
+    /// [`Flags::try_parsed`], exiting through [`Flags::fail`] on a bad
+    /// value: the one way every binary reads a typed option.
+    pub fn parsed<T>(&self, flag: &str, takes: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        self.try_parsed(flag, takes, parse).unwrap_or_else(|e| self.fail(&e))
     }
 
     /// Whether the switch `flag` was given.
@@ -499,6 +531,24 @@ impl Flags {
     pub fn positional(&self) -> &[String] {
         &self.positional
     }
+}
+
+/// A comma list of processor counts (`1,4,16`), each in
+/// `1..=`[`MAX_PROCS`](dash_sim::machine::MAX_PROCS); `None` otherwise.
+pub fn proc_list(list: &str) -> Option<Vec<usize>> {
+    list.split(',')
+        .map(|p| p.parse().ok().filter(|n| (1..=dash_sim::machine::MAX_PROCS).contains(n)))
+        .collect()
+}
+
+/// The [`APP_NAMES`] entry spelled `name`.
+pub fn app_name(name: &str) -> Option<&'static str> {
+    APP_NAMES.into_iter().find(|&a| a == name)
+}
+
+/// A comma list of app names, each one of [`APP_NAMES`]; `None` otherwise.
+pub fn app_list(list: &str) -> Option<Vec<&'static str>> {
+    list.split(',').map(app_name).collect()
 }
 
 #[cfg(test)]
@@ -523,5 +573,22 @@ mod tests {
         assert_eq!(parse(&["--out"]), Err("--out takes a value".into()));
         assert_eq!(parse(&["--out", "--smoke"]), Err("--out takes a value".into()));
         assert_eq!(parse(&["a", "b"]), Err("unexpected argument b".into()));
+    }
+
+    #[test]
+    fn typed_values_parse_or_name_the_flag() {
+        let f = parse(&["--procs", "1,4", "--out", "0,2"]).unwrap().unwrap();
+        assert_eq!(f.try_parsed("--procs", "counts", proc_list), Ok(Some(vec![1, 4])));
+        assert_eq!(f.try_parsed("--smoke", "counts", proc_list), Ok(None), "absent");
+        assert_eq!(
+            f.try_parsed("--out", "counts", proc_list),
+            Err("--out takes counts, got \"0,2\"".into())
+        );
+        for bad in ["x", "0", "65", "4,", ""] {
+            assert_eq!(proc_list(bad), None, "{bad:?} accepted");
+        }
+        assert_eq!(proc_list("64,1"), Some(vec![64, 1]));
+        assert_eq!(app_list("gauss,ocean"), Some(vec!["gauss", "ocean"]));
+        assert_eq!(app_list("gauss,bogus"), None);
     }
 }

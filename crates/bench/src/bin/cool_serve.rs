@@ -38,6 +38,7 @@ fn main() {
     );
     let has = |f: &str| flags.has(f);
     let opt_value = |f: &str| flags.value(f);
+    let seed: u64 = flags.parsed("--seed", "an integer", |v| v.parse().ok()).unwrap_or(42);
 
     if let Some(path) = opt_value("--check") {
         let text = std::fs::read_to_string(path)
@@ -57,9 +58,6 @@ fn main() {
         }
     }
 
-    let seed: u64 = opt_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(42);
     let faults = has("--faults");
     let mut cfg: LoadConfig = if has("--smoke") {
         smoke_config(seed, faults)

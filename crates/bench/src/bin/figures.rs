@@ -53,16 +53,17 @@ fn main() {
     } else {
         Scale::Full
     };
-    let procs: Vec<usize> = match flags.value("--procs") {
-        Some(list) => list
-            .split(',')
-            .map(|s| s.parse().expect("--procs takes a comma list"))
-            .collect(),
-        None => scale.default_procs(),
-    };
+    let procs = flags
+        .parsed(
+            "--procs",
+            "a comma list of processor counts in 1..=64",
+            apps::driver::proc_list,
+        )
+        .unwrap_or_else(|| scale.default_procs());
+    let app = flags.parsed("--trace-app", "an app name", apps::driver::app_name);
 
     if let Some(base) = flags.value("--trace-out") {
-        let app = flags.value("--trace-app").unwrap_or("gauss");
+        let app = app.unwrap_or("gauss");
         let version = apps::Version::AffinityDistr;
         let cfg = Scale::Small.config(8, version).with_trace();
         let report = apps::driver::run_app(app, cfg, version, None);

@@ -69,26 +69,29 @@ fn main() -> ExitCode {
     );
     let has = |f: &str| flags.has(f);
     let opt = |f: &str| flags.value(f).map(str::to_string);
-    let tol = match opt("--tolerance").map_or(Ok(0.02), |v| repro::parse_tolerance(&v)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let tol = flags
+        .parsed("--tolerance", "a finite non-negative fraction", repro::parse_tolerance)
+        .unwrap_or(0.02);
+    let scale = flags.parsed("--scale", "small|full|deep", |v| {
+        [Scale::Small, Scale::Full, Scale::Deep].into_iter().find(|s| s.name() == v)
+    });
+    let apps = flags.parsed("--apps", "a comma list of app names", apps::driver::app_list);
+    let versions = flags.parsed("--versions", "a comma list of version labels", |list| {
+        list.split(',').map(parse_version).collect::<Option<Vec<Version>>>()
+    });
+    let procs = flags.parsed(
+        "--procs",
+        "a comma list of processor counts in 1..=64",
+        apps::driver::proc_list,
+    );
+    let jobs: Option<usize> = flags.parsed("--jobs", "a number", |v| v.parse().ok());
 
-    let scale = match opt("--scale").as_deref() {
-        Some("full") => Scale::Full,
-        Some("deep") => Scale::Deep,
-        Some("small") | None => Scale::Small,
-        Some(other) => panic!("--scale takes small|full|deep, got {other:?}"),
-    };
     let scale = if has("--full") {
         Scale::Full
     } else if has("--deep") || has("--adaptive") {
         Scale::Deep
     } else {
-        scale
+        scale.unwrap_or(Scale::Small)
     };
 
     let points = if has("--smoke") {
@@ -97,33 +100,10 @@ fn main() -> ExitCode {
         repro::adaptive_matrix()
     } else if has("--deep") {
         repro::deep_matrix()
-    } else if has("--full")
-        || (opt("--apps").is_none() && opt("--versions").is_none() && opt("--procs").is_none())
-    {
+    } else if has("--full") || (apps.is_none() && versions.is_none() && procs.is_none()) {
         repro::full_matrix(scale)
     } else {
-        let apps: Vec<&'static str> = match opt("--apps") {
-            None => apps::driver::APP_NAMES.to_vec(),
-            Some(list) => list
-                .split(',')
-                .map(|name| {
-                    *apps::driver::APP_NAMES
-                        .iter()
-                        .find(|&&a| a == name)
-                        .unwrap_or_else(|| panic!("unknown app {name:?}"))
-                })
-                .collect(),
-        };
-        let versions: Option<Vec<Version>> = opt("--versions").map(|list| {
-            list.split(',')
-                .map(|l| parse_version(l).unwrap_or_else(|| panic!("unknown version label {l:?}")))
-                .collect()
-        });
-        let procs: Option<Vec<usize>> = opt("--procs").map(|list| {
-            list.split(',')
-                .map(|p| p.parse().expect("--procs takes a comma list of counts"))
-                .collect()
-        });
+        let apps = apps.unwrap_or_else(|| apps::driver::APP_NAMES.to_vec());
         repro::build_matrix(&apps, versions.as_deref(), procs.as_deref(), scale)
     };
     let scale_name = scale.app_scale().name();
@@ -135,7 +115,7 @@ fn main() -> ExitCode {
     let jobs: usize = if has("--serial") {
         1
     } else {
-        opt("--jobs").map_or(0, |v| v.parse().expect("--jobs takes a number"))
+        jobs.unwrap_or(0)
     };
     let cache = if has("--no-cache") || has("--race-serial") {
         None

@@ -25,7 +25,9 @@ fn main() -> ExitCode {
         .first()
         .map_or("analyze_findings.json", String::as_str);
     let trace_out = flags.value("--trace-out");
-    let trace_app = flags.value("--trace-app").unwrap_or("gauss");
+    let trace_app = flags
+        .parsed("--trace-app", "an app name", apps::driver::app_name)
+        .unwrap_or("gauss");
 
     let findings = analyze_all();
     let mut errors = 0usize;

@@ -18,8 +18,10 @@
 //!   over the *real* [`ServerQueues`] structure with the *shipped* steal
 //!   scan ([`StealPolicy::scan`]), asserting structural integrity, task
 //!   conservation and the locality ceiling on every step;
-//! * `ServeMachine` (in `cool-rt::vserve`) — a logical-time model of the
-//!   work-server admission/dedup/retry/drain protocol.
+//! * `ServeMachine` (in `cool-rt::vserve`) — scripted clients, domain
+//!   queues and a drain over the work server's *shipped* request books,
+//!   whose `admit`/`start`/`settle` decide admission, dedup, retries and
+//!   terminal outcomes, on logical time.
 //!
 //! Both support *seeded defects*: deliberately broken variants of one
 //! transition rule, used by tests to prove the explorer's invariants

@@ -77,7 +77,7 @@ pub use serve::{
     Backpressure, Outcome, Request, RequestRecord, ServeConfig, ServeStats, SubmitError,
     WorkServer,
 };
-pub use vserve::{ServeDefect, ServeMachine, ServeOp, SubmitSpec, VOutcome};
+pub use vserve::{ServeDefect, ServeMachine, ServeOp, SubmitSpec};
 pub use watchdog::StallDump;
 
 pub use cool_core::{

@@ -31,6 +31,11 @@
 //!   worker pool), never by arrival order, so a fixed seed injects the same
 //!   event set under any submission interleaving.
 //!
+//! The request bookkeeping (records, counters, outstanding count, in-flight
+//! ids) is one `Books` value behind one lock, taken before any domain
+//! queue's lock; its `admit`, `start` and `settle` are the whole protocol,
+//! and [`ServeMachine`](crate::vserve::ServeMachine) steps the same methods.
+//!
 //! Everything the server does is observable: admissions, sheds, retries and
 //! completions flow into the shared [`Event`] stream (drained with
 //! [`WorkServer::take_obs`]), so a service run exports to Perfetto exactly
@@ -41,7 +46,7 @@
 //! `cool-analyze`'s vector-clock race detector can consume the stream in
 //! one forward pass.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -281,7 +286,7 @@ pub enum Outcome {
 }
 
 /// Everything the server knows about one admitted request.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Terminal state; `None` while the request is still in flight (a
     /// `None` after [`WorkServer::drain`] means the request was *lost* —
@@ -292,16 +297,6 @@ pub struct RequestRecord {
     /// Times the body returned `Ok` — the never-double-execute invariant is
     /// `body_successes <= 1`.
     pub body_successes: u32,
-}
-
-impl RequestRecord {
-    fn admitted() -> Self {
-        RequestRecord {
-            outcome: None,
-            body_runs: 0,
-            body_successes: 0,
-        }
-    }
 }
 
 /// Service counters since startup.
@@ -334,6 +329,133 @@ pub struct ServeStats {
     pub pool_restarts: u64,
 }
 
+/// How one attempt of an admitted request ended.
+pub(crate) enum Attempt {
+    /// The body returned `Ok`, `latency` after admission.
+    Success { latency: Duration },
+    /// An injected fault, a body error or a panic; `retry_fits` says
+    /// whether a retry's backoff would end before the deadline.
+    Failed { error: String, retry_fits: bool },
+    /// The deadline had passed before the attempt could start.
+    DeadlineExceeded,
+}
+
+/// The server's request bookkeeping, kept behind one lock (see the module
+/// docs). Its three methods are the whole protocol.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Books {
+    /// Per-request records, keyed by id. The keys are the idempotency
+    /// registry: every id ever admitted (a shed request leaves no record,
+    /// so it may be resubmitted under the same id).
+    pub(crate) records: BTreeMap<u64, RequestRecord>,
+    pub(crate) stats: ServeStats,
+    /// Admitted requests not yet terminal.
+    pub(crate) outstanding: usize,
+    /// Request ids inside an attempt (for stall dumps).
+    pub(crate) in_flight: BTreeSet<u64>,
+}
+
+impl Books {
+    /// Admit request `id` (`cost` units) to the domain whose waiting queue
+    /// is under pressure `at`: refused while `draining` or if `id` was
+    /// admitted before, shed past the queue capacity or the unit budget,
+    /// otherwise recorded as outstanding. On `Ok` the caller enqueues it.
+    pub(crate) fn admit(
+        &mut self,
+        cfg: &ServeConfig,
+        id: u64,
+        cost: u64,
+        draining: bool,
+        at: Backpressure,
+    ) -> Result<(), SubmitError> {
+        if draining {
+            return Err(SubmitError::Draining);
+        }
+        self.stats.submitted += 1;
+        if self.records.contains_key(&id) {
+            self.stats.duplicates += 1;
+            return Err(SubmitError::Duplicate(id));
+        }
+        if at.depth >= cfg.queue_capacity || at.queued_units.saturating_add(cost) > cfg.budget_units
+        {
+            self.stats.shed += 1;
+            return Err(SubmitError::Shed(at));
+        }
+        self.records.insert(id, RequestRecord::default());
+        self.stats.admitted += 1;
+        self.outstanding += 1;
+        Ok(())
+    }
+
+    /// An attempt of `id` begins; `runs_body` says whether the body will
+    /// run (rather than a deadline cut-off or an injected failure).
+    pub(crate) fn start(&mut self, id: u64, runs_body: bool) {
+        self.in_flight.insert(id);
+        self.stats.attempts += 1;
+        if runs_body {
+            self.record(id).body_runs += 1;
+        }
+    }
+
+    /// Settle attempt `attempt` (0-based) of `id`. A failure with attempts
+    /// left and room before the deadline is a retry (`None`: the caller
+    /// requeues the job); anything else is terminal, and the outcome is
+    /// returned.
+    pub(crate) fn settle(
+        &mut self,
+        cfg: &ServeConfig,
+        id: u64,
+        attempt: u32,
+        result: Attempt,
+    ) -> Option<&Outcome> {
+        self.in_flight.remove(&id);
+        let attempts = attempt + 1;
+        let outcome = match result {
+            Attempt::Success { latency } => {
+                self.record(id).body_successes += 1;
+                self.stats.completed += 1;
+                Outcome::Completed { attempts, latency }
+            }
+            Attempt::Failed { error, .. } if attempts >= cfg.max_attempts => {
+                self.stats.failed += 1;
+                Outcome::Failed { attempts, error }
+            }
+            Attempt::Failed { retry_fits: true, .. } => {
+                self.stats.retries += 1;
+                return None;
+            }
+            // No room to retry before the deadline: time the request out
+            // now instead of wasting a doomed attempt.
+            Attempt::Failed { .. } => {
+                self.stats.timed_out += 1;
+                Outcome::TimedOut { attempts }
+            }
+            Attempt::DeadlineExceeded => {
+                self.stats.timed_out += 1;
+                Outcome::TimedOut { attempts: attempt }
+            }
+        };
+        self.outstanding -= 1;
+        let rec = self.record(id);
+        rec.outcome = Some(outcome);
+        rec.outcome.as_ref()
+    }
+
+    fn record(&mut self, id: u64) -> &mut RequestRecord {
+        self.records.get_mut(&id).expect("attempt of an unadmitted request")
+    }
+}
+
+impl Outcome {
+    fn attempts(&self) -> u32 {
+        match *self {
+            Outcome::Completed { attempts, .. }
+            | Outcome::Failed { attempts, .. }
+            | Outcome::TimedOut { attempts } => attempts,
+        }
+    }
+}
+
 /// A queued attempt of an admitted request.
 struct Job {
     id: u64,
@@ -347,6 +469,7 @@ struct Job {
 }
 
 /// One domain's intake: ready work plus backed-off retries.
+#[derive(Default)]
 struct DomainQueue {
     ready: VecDeque<Job>,
     /// Retries waiting out their backoff: `(not_before, job)`.
@@ -375,22 +498,13 @@ struct DomainPool {
 struct ServeInner {
     cfg: ServeConfig,
     pools: Vec<DomainPool>,
-    /// Idempotency registry: every id ever *admitted* (shed ids are not
-    /// recorded, so a shed request may be resubmitted under the same id).
-    seen: Mutex<HashSet<u64>>,
-    /// Per-request records, keyed by id (BTreeMap for deterministic
-    /// iteration in reports).
-    records: Mutex<BTreeMap<u64, RequestRecord>>,
-    /// Request ids currently inside a body (for stall dumps).
-    in_flight: Mutex<HashSet<u64>>,
-    /// Admitted requests not yet terminal.
-    outstanding: AtomicUsize,
-    drain_lock: Mutex<()>,
+    /// Taken before any domain queue's lock.
+    books: Mutex<Books>,
+    /// Signalled, under the books lock, when nothing is outstanding.
     drained: Condvar,
     draining: AtomicBool,
     shutdown: AtomicBool,
     faults: Option<FaultPlan>,
-    stats: Mutex<ServeStats>,
     dumps: Mutex<Vec<StallDump>>,
     /// Replacement workers started by the watchdog (joined at drop).
     extra_workers: Mutex<Vec<JoinHandle<()>>>,
@@ -426,50 +540,11 @@ impl ServeInner {
         self.pools[domain].last_beat.store(self.now_ns(), Ordering::SeqCst);
     }
 
-    /// Record a terminal outcome and release the request's outstanding slot.
-    fn terminal(&self, worker: usize, domain: usize, job: &Job, attempts: u32, outcome: Outcome) {
-        let ok = matches!(outcome, Outcome::Completed { .. });
-        {
-            let mut st = self.stats.lock();
-            match outcome {
-                Outcome::Completed { .. } => st.completed += 1,
-                Outcome::Failed { .. } => st.failed += 1,
-                Outcome::TimedOut { .. } => st.timed_out += 1,
-            }
-        }
-        self.records
-            .lock()
-            .get_mut(&job.id)
-            .expect("terminal for unadmitted request")
-            .outcome = Some(outcome);
-        // Emitted before the outstanding decrement so the drain barrier
-        // event always follows every terminal outcome in the stream.
-        if self.recorder.is_some() {
-            self.emit(
-                worker,
-                Event::RequestDone {
-                    req: job.id,
-                    attempts,
-                    ok,
-                    latency_ns: job.admitted.elapsed().as_nanos() as u64,
-                    domain,
-                    proc: ProcId(worker),
-                    time: self.now_ns(),
-                },
-            );
-        }
-        if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _g = self.drain_lock.lock();
-            self.drained.notify_all();
-        }
-    }
-
     /// Snapshot for a stall post-mortem: per-domain waiting depths plus the
     /// request ids currently stuck inside bodies.
     fn dump(&self) -> StallDump {
-        let mut in_flight: Vec<u64> = self.in_flight.lock().iter().copied().collect();
-        in_flight.sort_unstable();
-        let st = *self.stats.lock();
+        let books = self.books.lock();
+        let st = books.stats;
         let stats = SchedStats {
             spawned: st.admitted,
             executed: st.attempts,
@@ -481,7 +556,7 @@ impl ServeInner {
             stats,
             open_scopes: 0,
             tasks_executed: st.attempts,
-            in_flight,
+            in_flight: books.in_flight.iter().copied().collect(),
         }
     }
 }
@@ -540,26 +615,17 @@ impl WorkServer {
         let inner = Arc::new(ServeInner {
             pools: (0..cfg.domains)
                 .map(|_| DomainPool {
-                    q: Mutex::new(DomainQueue {
-                        ready: VecDeque::new(),
-                        deferred: Vec::new(),
-                        queued_units: 0,
-                    }),
+                    q: Mutex::default(),
                     wake: Condvar::new(),
                     executing: AtomicUsize::new(0),
                     last_beat: AtomicU64::new(0),
                 })
                 .collect(),
-            seen: Mutex::new(HashSet::new()),
-            records: Mutex::new(BTreeMap::new()),
-            in_flight: Mutex::new(HashSet::new()),
-            outstanding: AtomicUsize::new(0),
-            drain_lock: Mutex::new(()),
+            books: Mutex::new(Books::default()),
             drained: Condvar::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             faults,
-            stats: Mutex::new(ServeStats::default()),
             dumps: Mutex::new(Vec::new()),
             extra_workers: Mutex::new(Vec::new()),
             recorder: Recorder::new(cfg.recording, nrings),
@@ -602,56 +668,39 @@ impl WorkServer {
         let inner = &self.inner;
         // Deterministic intake stall: attributable to one request id, so the
         // injected freeze lands on the same admission in every run.
-        if let Some(f) = &inner.faults {
-            let units = f.intake_stall_units(req.id);
-            if units > 0 {
-                inner.stats.lock().intake_stalls += 1;
-                std::thread::sleep(Duration::from_micros(units));
-            }
+        let stall = inner.faults.as_ref().map_or(0, |f| f.intake_stall_units(req.id));
+        if stall > 0 {
+            std::thread::sleep(Duration::from_micros(stall));
         }
         let domain = (req.shard % inner.cfg.domains as u64) as usize;
-        let seen = &mut *inner.seen.lock();
-        // Checked under the registry lock so a drain begun mid-submit cannot
-        // admit behind the drain's back.
-        if inner.draining.load(Ordering::SeqCst) {
-            return Err(SubmitError::Draining);
-        }
-        inner.stats.lock().submitted += 1;
-        if seen.contains(&req.id) {
-            inner.stats.lock().duplicates += 1;
-            return Err(SubmitError::Duplicate(req.id));
-        }
         let pool = &inner.pools[domain];
+        // Held from the draining check until the request is outstanding, so
+        // a drain either refuses this request or waits for it.
+        let mut books = inner.books.lock();
+        books.stats.intake_stalls += u64::from(stall > 0);
         let mut q = pool.q.lock();
-        let depth = q.depth();
-        if depth >= inner.cfg.queue_capacity
-            || q.queued_units.saturating_add(req.cost) > inner.cfg.budget_units
-        {
-            let bp = Backpressure {
-                domain,
-                depth,
-                queued_units: q.queued_units,
-            };
-            drop(q);
-            inner.stats.lock().shed += 1;
-            if inner.recorder.is_some() {
+        let at = Backpressure {
+            domain,
+            depth: q.depth(),
+            queued_units: q.queued_units,
+        };
+        let draining = inner.draining.load(Ordering::SeqCst);
+        if let Err(e) = books.admit(&inner.cfg, req.id, req.cost, draining, at) {
+            if matches!(e, SubmitError::Shed(_)) && inner.recorder.is_some() {
                 let (ring, time) = (inner.intake_ring(), inner.now_ns());
                 inner.emit(
                     ring,
                     Event::RequestShed {
                         req: req.id,
                         domain,
-                        depth,
+                        depth: at.depth,
                         time,
                     },
                 );
             }
-            return Err(SubmitError::Shed(bp));
+            return Err(e);
         }
-        seen.insert(req.id);
-        inner.records.lock().insert(req.id, RequestRecord::admitted());
-        inner.outstanding.fetch_add(1, Ordering::SeqCst);
-        inner.stats.lock().admitted += 1;
+        drop(books);
         let now = Instant::now();
         q.queued_units += req.cost;
         q.ready.push_back(Job {
@@ -687,16 +736,13 @@ impl WorkServer {
     /// reached a terminal outcome — including retries still waiting out
     /// their backoff. Workers stay up until the server is dropped.
     pub fn drain(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
-        let mut g = self.inner.drain_lock.lock();
-        while self.inner.outstanding.load(Ordering::SeqCst) > 0 {
-            // Bounded waits double as wakeups for deferred retries.
-            self.inner
-                .drained
-                .wait_for(&mut g, Duration::from_millis(1));
-        }
-        drop(g);
         let inner = &self.inner;
+        let mut books = inner.books.lock();
+        inner.draining.store(true, Ordering::SeqCst);
+        while books.outstanding > 0 {
+            inner.drained.wait(&mut books);
+        }
+        drop(books);
         if inner.full() {
             inner.emit(inner.intake_ring(), Event::RequestDrain { time: inner.now_ns() });
         }
@@ -704,12 +750,12 @@ impl WorkServer {
 
     /// Service counters since startup.
     pub fn stats(&self) -> ServeStats {
-        *self.inner.stats.lock()
+        self.inner.books.lock().stats
     }
 
     /// Per-request records, keyed by id (deterministic order).
     pub fn outcomes(&self) -> BTreeMap<u64, RequestRecord> {
-        self.inner.records.lock().clone()
+        self.inner.books.lock().records.clone()
     }
 
     /// Stall dumps recorded by the watchdog.
@@ -726,27 +772,26 @@ impl WorkServer {
 
     /// Requests admitted but not yet terminal.
     pub fn outstanding(&self) -> usize {
-        self.inner.outstanding.load(Ordering::SeqCst)
+        self.inner.books.lock().outstanding
     }
 }
 
 impl Drop for WorkServer {
     fn drop(&mut self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        for pool in &self.inner.pools {
+        let inner = &self.inner;
+        inner.draining.store(true, Ordering::SeqCst);
+        inner.shutdown.store(true, Ordering::SeqCst);
+        // The watchdog first: once it has exited it can start no
+        // replacement worker behind the joins below.
+        if let Some(w) = self.watchdog.take() {
+            let _ = w.join();
+        }
+        for pool in &inner.pools {
             let _q = pool.q.lock();
             pool.wake.notify_all();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        let extras: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.inner.extra_workers.lock());
-        for w in extras {
-            let _ = w.join();
-        }
-        if let Some(w) = self.watchdog.take() {
+        let extras = std::mem::take(&mut *inner.extra_workers.lock());
+        for w in self.workers.drain(..).chain(extras) {
             let _ = w.join();
         }
     }
@@ -796,19 +841,20 @@ fn worker_loop(inner: &ServeInner, domain: usize, windex: usize) {
     }
 }
 
-/// What one attempt produced.
-enum Attempt {
-    Success,
-    Failed(String),
-    DeadlineExceeded,
-}
-
 fn run_job(inner: &ServeInner, domain: usize, windex: usize, mut job: Job) {
     let pool = &inner.pools[domain];
     pool.executing.fetch_add(1, Ordering::SeqCst);
     inner.beat(domain);
-    inner.in_flight.lock().insert(job.id);
-    inner.stats.lock().attempts += 1;
+    let late = Instant::now() >= job.deadline;
+    // Injected transient failure: consumed before the body runs, so a
+    // later successful attempt is still the body's only success.
+    let injected = !late
+        && job.attempt == 0
+        && inner.faults.as_ref().is_some_and(|f| f.should_fail_request(job.id));
+    let mut books = inner.books.lock();
+    books.start(job.id, !late && !injected);
+    books.stats.injected_failures += u64::from(injected);
+    drop(books);
     if inner.full() {
         inner.emit(
             windex,
@@ -821,147 +867,133 @@ fn run_job(inner: &ServeInner, domain: usize, windex: usize, mut job: Job) {
             },
         );
     }
-    let result = if Instant::now() >= job.deadline {
-        Attempt::DeadlineExceeded
-    } else if job.attempt == 0
-        && inner
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.should_fail_request(job.id))
-    {
-        // Injected transient failure: consumed before the body runs, so a
-        // later successful attempt is still the body's only success.
-        inner.stats.lock().injected_failures += 1;
-        Attempt::Failed("injected transient request failure".into())
+    // `None`: the deadline passed before the attempt could start.
+    let ran = if late {
+        None
+    } else if injected {
+        Some(Err("injected transient request failure".to_string()))
     } else {
-        if let Some(f) = &inner.faults {
-            // Slow pool: every job this domain executes costs extra.
-            let extra = f.domain_slow_units(domain);
-            if extra > 0 {
-                std::thread::sleep(Duration::from_micros(extra));
-            }
-        }
-        let traced = inner.recorder.is_some();
-        let uid = TaskUid(inner.next_uid.fetch_add(1, Ordering::Relaxed));
-        if traced {
-            inner.emit(
-                windex,
-                Event::TaskBegin {
-                    task: uid,
-                    label: Some("serve"),
-                    proc: ProcId(windex),
-                    target: ProcId(windex),
-                    hinted: true,
-                    set: None,
-                    object: None,
-                    object_home: None,
-                    time: inner.now_ns(),
-                },
-            );
-        }
-        inner
-            .records
-            .lock()
-            .get_mut(&job.id)
-            .expect("running unadmitted request")
-            .body_runs += 1;
-        if inner.full() {
-            for &(addr, len, kind) in job.accesses.iter() {
-                inner.emit(
-                    windex,
-                    Event::Access {
-                        task: req_uid(job.id),
-                        obj: ObjRef(addr),
-                        len,
-                        kind,
-                        proc: ProcId(windex),
-                        time: inner.now_ns(),
-                    },
-                );
-            }
-        }
-        let body = job.body.clone();
-        let attempt = job.attempt;
-        let outcome = catch_unwind(AssertUnwindSafe(move || body(attempt)));
-        if traced {
-            inner.emit(
-                windex,
-                Event::TaskEnd {
-                    task: uid,
-                    proc: ProcId(windex),
-                    mem: None,
-                    time: inner.now_ns(),
-                },
-            );
-        }
-        match outcome {
-            Ok(Ok(())) => Attempt::Success,
-            Ok(Err(e)) => Attempt::Failed(e),
-            Err(payload) => Attempt::Failed(panic_message(payload.as_ref())),
-        }
+        Some(run_body(inner, domain, windex, &job))
     };
-    inner.in_flight.lock().remove(&job.id);
     pool.executing.fetch_sub(1, Ordering::SeqCst);
     inner.beat(domain);
-    match result {
-        Attempt::Success => {
-            inner
-                .records
-                .lock()
-                .get_mut(&job.id)
-                .expect("completing unadmitted request")
-                .body_successes += 1;
-            let attempts = job.attempt + 1;
-            let latency = job.admitted.elapsed();
-            inner.terminal(windex, domain, &job, attempts, Outcome::Completed { attempts, latency });
-        }
-        Attempt::DeadlineExceeded => {
-            let attempts = job.attempt;
-            inner.terminal(windex, domain, &job, attempts, Outcome::TimedOut { attempts });
-        }
-        Attempt::Failed(error) => {
-            let attempts = job.attempt + 1;
-            if attempts >= inner.cfg.max_attempts {
-                inner.terminal(windex, domain, &job, attempts, Outcome::Failed { attempts, error });
-                return;
-            }
-            let backoff = retry_backoff(
-                job.id,
-                attempts,
-                inner.cfg.base_backoff,
-                inner.cfg.max_backoff,
+    let (cfg, attempts, now) = (&inner.cfg, job.attempt + 1, Instant::now());
+    // A failed attempt may retry once its backoff has passed.
+    let backoff = retry_backoff(job.id, attempts, cfg.base_backoff, cfg.max_backoff);
+    let result = match ran {
+        None => Attempt::DeadlineExceeded,
+        Some(Ok(())) => Attempt::Success {
+            latency: now - job.admitted,
+        },
+        Some(Err(error)) => Attempt::Failed {
+            error,
+            retry_fits: now + backoff < job.deadline,
+        },
+    };
+    let mut books = inner.books.lock();
+    if let Some(outcome) = books.settle(cfg, job.id, job.attempt, result) {
+        // Emitted under the books lock, before the drained notify, so the
+        // drain barrier event follows every terminal outcome.
+        if inner.recorder.is_some() {
+            inner.emit(
+                windex,
+                Event::RequestDone {
+                    req: job.id,
+                    attempts: outcome.attempts(),
+                    ok: matches!(outcome, Outcome::Completed { .. }),
+                    latency_ns: (now - job.admitted).as_nanos() as u64,
+                    domain,
+                    proc: ProcId(windex),
+                    time: inner.now_ns(),
+                },
             );
-            let not_before = Instant::now() + backoff;
-            if not_before >= job.deadline {
-                // No room to retry before the deadline: time the request
-                // out now instead of wasting a doomed attempt.
-                inner.terminal(windex, domain, &job, attempts, Outcome::TimedOut { attempts });
-                return;
-            }
-            inner.stats.lock().retries += 1;
-            // Emitted before the requeue is published: the next attempt's
-            // pop (and its event) can only follow this retry.
-            if inner.recorder.is_some() {
-                inner.emit(
-                    windex,
-                    Event::RequestRetry {
-                        req: job.id,
-                        attempt: job.attempt,
-                        backoff_ns: backoff.as_nanos() as u64,
-                        domain,
-                        proc: ProcId(windex),
-                        time: inner.now_ns(),
-                    },
-                );
-            }
-            job.attempt = attempts;
-            let cost = job.cost;
-            let mut q = pool.q.lock();
-            q.queued_units += cost;
-            q.deferred.push((not_before, job));
-            pool.wake.notify_one();
+        }
+        if books.outstanding == 0 {
+            inner.drained.notify_all();
+        }
+        return;
+    }
+    drop(books);
+    // Emitted before the requeue is published: the next attempt's pop
+    // (and its event) can only follow this retry.
+    if inner.recorder.is_some() {
+        inner.emit(
+            windex,
+            Event::RequestRetry {
+                req: job.id,
+                attempt: job.attempt,
+                backoff_ns: backoff.as_nanos() as u64,
+                domain,
+                proc: ProcId(windex),
+                time: inner.now_ns(),
+            },
+        );
+    }
+    job.attempt = attempts;
+    let mut q = pool.q.lock();
+    q.queued_units += job.cost;
+    q.deferred.push((now + backoff, job));
+    pool.wake.notify_one();
+}
+
+/// Run `job`'s body once, on worker `windex` of `domain`; `Err` carries
+/// the body's error or panic message.
+fn run_body(inner: &ServeInner, domain: usize, windex: usize, job: &Job) -> Result<(), String> {
+    if let Some(f) = &inner.faults {
+        // Slow pool: every job this domain executes costs extra.
+        let extra = f.domain_slow_units(domain);
+        if extra > 0 {
+            std::thread::sleep(Duration::from_micros(extra));
         }
     }
+    let traced = inner.recorder.is_some();
+    let uid = TaskUid(inner.next_uid.fetch_add(1, Ordering::Relaxed));
+    if traced {
+        inner.emit(
+            windex,
+            Event::TaskBegin {
+                task: uid,
+                label: Some("serve"),
+                proc: ProcId(windex),
+                target: ProcId(windex),
+                hinted: true,
+                set: None,
+                object: None,
+                object_home: None,
+                time: inner.now_ns(),
+            },
+        );
+    }
+    if inner.full() {
+        for &(addr, len, kind) in job.accesses.iter() {
+            inner.emit(
+                windex,
+                Event::Access {
+                    task: req_uid(job.id),
+                    obj: ObjRef(addr),
+                    len,
+                    kind,
+                    proc: ProcId(windex),
+                    time: inner.now_ns(),
+                },
+            );
+        }
+    }
+    let body = job.body.clone();
+    let attempt = job.attempt;
+    let outcome = catch_unwind(AssertUnwindSafe(move || body(attempt)));
+    if traced {
+        inner.emit(
+            windex,
+            Event::TaskEnd {
+                task: uid,
+                proc: ProcId(windex),
+                mem: None,
+                time: inner.now_ns(),
+            },
+        );
+    }
+    outcome.unwrap_or_else(|payload| Err(panic_message(payload.as_ref())))
 }
 
 /// Pool-stall detector: a domain with work on hand (a body executing or
@@ -992,11 +1024,12 @@ fn serve_watchdog(inner: &Arc<ServeInner>, interval: Duration) {
             // Reset the beacon either way so one stuck body produces one
             // dump per quiet interval, not one per poll.
             inner.beat(d);
-            let restarts = inner.stats.lock().pool_restarts;
-            if (restarts as usize) < inner.cfg.max_pool_restarts {
-                inner.stats.lock().pool_restarts += 1;
-                let windex =
-                    inner.cfg.domains * inner.cfg.workers_per_domain + restarts as usize;
+            let mut books = inner.books.lock();
+            let restarts = books.stats.pool_restarts as usize;
+            if restarts < inner.cfg.max_pool_restarts {
+                books.stats.pool_restarts += 1;
+                drop(books);
+                let windex = inner.cfg.domains * inner.cfg.workers_per_domain + restarts;
                 let inner2 = inner.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("cool-serve-{d}.r{restarts}"))
@@ -1011,6 +1044,7 @@ fn serve_watchdog(inner: &Arc<ServeInner>, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU32;
 
     fn counters(n: usize) -> Arc<Vec<AtomicU32>> {
@@ -1261,6 +1295,25 @@ mod tests {
             dumps[0].in_flight
         );
         assert!(dumps[0].queue_depths[0] >= 1, "queued work behind the stall");
+    }
+
+    #[test]
+    fn drop_joins_every_replacement_worker() {
+        // A 4 ms stall timeout against a 50 ms body: the watchdog keeps
+        // starting replacements for the wedged domain until the drop.
+        let cfg = ServeConfig::new(1, 1)
+            .with_stall_timeout(Duration::from_millis(4))
+            .with_max_pool_restarts(64);
+        let srv = WorkServer::new(cfg);
+        srv.submit(Request::new(0, 0, 1, |_| {
+            std::thread::sleep(Duration::from_millis(50));
+            Ok(())
+        }))
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let inner = Arc::downgrade(&srv.inner);
+        drop(srv);
+        assert_eq!(inner.strong_count(), 0, "a server thread outlived the drop");
     }
 
     #[test]

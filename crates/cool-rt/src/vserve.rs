@@ -3,17 +3,20 @@
 //!
 //! The real [`WorkServer`](crate::serve::WorkServer) runs on OS threads
 //! with wall-clock deadlines and condvar wakeups, so its schedules cannot
-//! be enumerated directly. [`ServeMachine`] mirrors the *protocol* —
-//! admission (capacity, budget, idempotency dedup, drain refusal), the
-//! bounded-retry loop and drain completion — as a pure state machine
-//! whose decision points are explicit [`ServeOp`]s. The admission
-//! predicate and retry accounting are written to match `serve.rs`
-//! line-for-line; time-based behaviour (deadlines, backoff *durations*)
-//! is abstracted away: a retry re-enters its domain queue at the back,
-//! and the explorer's interleavings stand in for every possible expiry
-//! order.
+//! be enumerated directly. [`ServeMachine`] steps the server's own request
+//! books — each [`ServeOp`] calls the `admit`, `start` and `settle` the
+//! server calls under its books lock — so admission (drain refusal, dedup,
+//! capacity and budget shed), the retry decision and the terminal
+//! accounting explored are the shipped code. The model supplies scripted
+//! clients, per-domain FIFO queues, the operator's drain and the defects.
 //!
-//! Invariants checked after every transition (the PR-6 properties):
+//! Time is abstracted away: no deadline passes, and a retry rejoins the
+//! back of its domain queue at once. So not every expiry order is covered:
+//! the server holds a retry for its backoff and promotes it at the first
+//! pop that finds it due, behind any request admitted to the domain in the
+//! meantime, which the model queues behind the retry instead.
+//!
+//! Invariants checked after every transition:
 //!
 //! * **exactly-once effects** — no request's body ever succeeds twice;
 //! * **dedup exactness** — admissions equal distinct admitted keys
@@ -26,8 +29,10 @@
 //! drain completed and every admitted request has a terminal outcome
 //! (drain loses nothing).
 
+use crate::serve::{Attempt, Backpressure, Books, Outcome, ServeConfig};
 use cool_core::vsched::{stable_hash, VirtualProgram};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
+use std::time::Duration;
 
 /// One scripted submission a client will perform.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,21 +47,21 @@ pub struct SubmitSpec {
     pub failures: u32,
 }
 
-/// Seeded defects for the [`ServeMachine`] — each disables exactly one
-/// protocol rule so tests can prove the matching invariant fires.
+/// Seeded defects for the [`ServeMachine`] — each breaks one protocol rule
+/// around the shared books so tests can prove the matching invariant fires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ServeDefect {
     /// Correct behaviour.
     None,
-    /// Admission ignores the draining flag (a submit racing a drain can
-    /// slip in behind it). Caught by the frozen-admitted-set invariant.
+    /// `admit` is told the server is not draining (a racing submit slips in
+    /// behind the drain). Caught by the frozen-admitted-set invariant.
     AdmitPastDrain,
-    /// Admission ignores the idempotency `seen` set. Caught by the
-    /// dedup-exactness invariant.
+    /// The request's record is forgotten before admission, so a duplicate
+    /// id is admitted again. Caught by the dedup-exactness invariant.
     DedupMiss,
-    /// A failed attempt with retries remaining is forgotten instead of
-    /// requeued. Caught at drain: the request never reaches a terminal
-    /// outcome, so the drain can never complete.
+    /// The requeue a retry asks for is dropped: the request stays
+    /// outstanding with no queued job, and the drain never completes.
+    /// Caught by the accounting invariant.
     LoseRetry,
     /// A *successful* attempt is also requeued (a double-enqueue race).
     /// Caught by the exactly-once invariant when the ghost runs.
@@ -95,48 +100,17 @@ struct VJob {
     failures: u32,
 }
 
-/// Terminal outcome of a modelled request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VOutcome {
-    /// The body succeeded on attempt `attempts`.
-    Completed {
-        /// Total attempts consumed (1-based).
-        attempts: u32,
-    },
-    /// All `attempts` attempts failed.
-    Failed {
-        /// Total attempts consumed.
-        attempts: u32,
-    },
-}
-
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct VRecord {
-    outcome: Option<VOutcome>,
-    body_runs: u32,
-    body_successes: u32,
-}
-
 /// Pure, explorable model of the work-server admission/retry/drain
 /// protocol. See the [module docs](self) for the invariant catalogue.
 #[derive(Clone, Debug)]
 pub struct ServeMachine {
-    domains: usize,
-    queue_capacity: usize,
-    budget_units: u64,
-    max_attempts: u32,
+    cfg: ServeConfig,
     scripts: Vec<VecDeque<SubmitSpec>>,
     queues: Vec<VecDeque<VJob>>,
     queued_units: Vec<u64>,
-    seen: BTreeSet<u64>,
-    records: BTreeMap<u64, VRecord>,
-    admissions: u64,
-    shed: u64,
-    duplicates: u64,
-    refused: u64,
-    outstanding: usize,
+    books: Books,
     draining: bool,
-    admitted_at_drain: u64,
+    admitted_at_drain: usize,
     drained: bool,
     use_drain: bool,
     defect: ServeDefect,
@@ -157,22 +131,16 @@ impl ServeMachine {
         use_drain: bool,
         defect: ServeDefect,
     ) -> Self {
-        assert!(domains > 0 && max_attempts > 0);
+        assert!(domains > 0);
         ServeMachine {
-            domains,
-            queue_capacity,
-            budget_units,
-            max_attempts,
+            cfg: ServeConfig::new(domains, 1)
+                .with_capacity(queue_capacity)
+                .with_budget(budget_units)
+                .with_retry(max_attempts, Duration::ZERO, Duration::ZERO),
             scripts: scripts.into_iter().map(VecDeque::from).collect(),
             queues: vec![VecDeque::new(); domains],
             queued_units: vec![0; domains],
-            seen: BTreeSet::new(),
-            records: BTreeMap::new(),
-            admissions: 0,
-            shed: 0,
-            duplicates: 0,
-            refused: 0,
-            outstanding: 0,
+            books: Books::default(),
             draining: false,
             admitted_at_drain: 0,
             drained: false,
@@ -182,92 +150,75 @@ impl ServeMachine {
     }
 
     /// Terminal outcome of request `id`, if admitted and resolved.
-    pub fn outcome_of(&self, id: u64) -> Option<VOutcome> {
-        self.records.get(&id).and_then(|r| r.outcome)
+    pub fn outcome_of(&self, id: u64) -> Option<Outcome> {
+        self.books.records.get(&id).and_then(|r| r.outcome.clone())
     }
 
     /// Requests shed for capacity or budget so far.
     pub fn shed(&self) -> u64 {
-        self.shed
+        self.books.stats.shed
     }
 
     /// Duplicate submissions refused by the idempotency dedup so far.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.books.stats.duplicates
     }
 
-    /// Mirror of `WorkServer::submit`'s admission path, on logical time.
+    fn domain_of(&self, shard: u64) -> usize {
+        (shard % self.cfg.domains as u64) as usize
+    }
+
+    /// `WorkServer::submit`'s admission, with the domain queue's pressure.
     fn submit(&mut self, spec: SubmitSpec) {
-        // The real submit checks `draining` under the `seen` lock so a
-        // drain begun mid-submit cannot admit behind the drain's back.
-        if self.draining && self.defect != ServeDefect::AdmitPastDrain {
-            self.refused += 1;
-            return;
+        let d = self.domain_of(spec.shard);
+        if self.defect == ServeDefect::DedupMiss {
+            self.books.records.remove(&spec.id);
         }
-        if self.seen.contains(&spec.id) && self.defect != ServeDefect::DedupMiss {
-            self.duplicates += 1;
-            return;
+        let at = Backpressure {
+            domain: d,
+            depth: self.queues[d].len(),
+            queued_units: self.queued_units[d],
+        };
+        let draining = self.draining && self.defect != ServeDefect::AdmitPastDrain;
+        if self.books.admit(&self.cfg, spec.id, spec.cost, draining, at).is_ok() {
+            self.queued_units[d] += spec.cost;
+            self.queues[d].push_back(VJob {
+                id: spec.id,
+                cost: spec.cost,
+                attempt: 0,
+                failures: spec.failures,
+            });
         }
-        let d = (spec.shard % self.domains as u64) as usize;
-        if self.queues[d].len() >= self.queue_capacity
-            || self.queued_units[d].saturating_add(spec.cost) > self.budget_units
-        {
-            self.shed += 1;
-            return;
-        }
-        self.seen.insert(spec.id);
-        self.admissions += 1;
-        self.records.insert(
-            spec.id,
-            VRecord {
-                outcome: None,
-                body_runs: 0,
-                body_successes: 0,
-            },
-        );
-        self.outstanding += 1;
-        self.queued_units[d] += spec.cost;
-        self.queues[d].push_back(VJob {
-            id: spec.id,
-            cost: spec.cost,
-            attempt: 0,
-            failures: spec.failures,
-        });
     }
 
-    /// Mirror of `run_job` + `terminal`: one attempt of the front job.
+    /// One attempt of `domain`'s front job, as a worker runs it: the
+    /// scripted result is settled on the books, and a retry rejoins the
+    /// back of the queue.
     fn work(&mut self, domain: usize) {
         let job = self.queues[domain].pop_front().expect("work enabled");
         self.queued_units[domain] -= job.cost;
-        let fails = job.attempt < job.failures;
-        let attempts = job.attempt + 1;
-        let rec = self.records.get_mut(&job.id).expect("admitted job");
-        rec.body_runs += 1;
-        if !fails {
-            rec.body_successes += 1;
-            rec.outcome = Some(VOutcome::Completed { attempts });
-            self.outstanding -= 1;
-            if self.defect == ServeDefect::DoubleEnqueue {
-                // Ghost requeue of an already-terminal request.
-                self.queued_units[domain] += job.cost;
-                self.queues[domain].push_back(VJob {
-                    attempt: attempts,
-                    ..job
-                });
+        self.books.start(job.id, true);
+        let result = if job.attempt < job.failures {
+            Attempt::Failed {
+                error: "scripted failure".into(),
+                retry_fits: true,
             }
-        } else if attempts >= self.max_attempts {
-            rec.outcome = Some(VOutcome::Failed { attempts });
-            self.outstanding -= 1;
-        } else if self.defect == ServeDefect::LoseRetry {
-            // Forget the retry: no requeue, no terminal outcome. The
-            // request stays outstanding forever and the drain hangs.
         } else {
-            // Deferred retry: logical backoff expiry is "some later
-            // scheduling point", so the job rejoins the back of its
-            // domain queue and the explorer tries every expiry order.
+            Attempt::Success {
+                latency: Duration::ZERO,
+            }
+        };
+        let requeue = match self.books.settle(&self.cfg, job.id, job.attempt, result) {
+            None => self.defect != ServeDefect::LoseRetry,
+            Some(outcome) => {
+                self.defect == ServeDefect::DoubleEnqueue
+                    && matches!(outcome, Outcome::Completed { .. })
+            }
+        };
+        if requeue {
             self.queued_units[domain] += job.cost;
             self.queues[domain].push_back(VJob {
-                attempt: attempts,
+                attempt: job.attempt + 1,
                 ..job
             });
         }
@@ -284,19 +235,19 @@ impl VirtualProgram for ServeMachine {
                 ops.push(ServeOp::Submit {
                     client: c,
                     id: spec.id,
-                    domain: (spec.shard % self.domains as u64) as usize,
+                    domain: self.domain_of(spec.shard),
                 });
             }
         }
-        for d in 0..self.domains {
-            if !self.queues[d].is_empty() {
+        for (d, q) in self.queues.iter().enumerate() {
+            if !q.is_empty() {
                 ops.push(ServeOp::Work { domain: d });
             }
         }
         if self.use_drain && !self.draining {
             ops.push(ServeOp::Drain);
         }
-        if self.draining && !self.drained && self.outstanding == 0 {
+        if self.draining && !self.drained && self.books.outstanding == 0 {
             ops.push(ServeOp::Finish);
         }
         ops
@@ -311,7 +262,7 @@ impl VirtualProgram for ServeMachine {
             ServeOp::Work { domain } => self.work(domain),
             ServeOp::Drain => {
                 self.draining = true;
-                self.admitted_at_drain = self.records.len() as u64;
+                self.admitted_at_drain = self.books.records.len();
             }
             ServeOp::Finish => {
                 self.drained = true;
@@ -320,29 +271,30 @@ impl VirtualProgram for ServeMachine {
     }
 
     fn check(&self) -> Result<(), String> {
-        for (id, rec) in &self.records {
+        let (records, outstanding) = (&self.books.records, self.books.outstanding);
+        for (id, rec) in records {
             if rec.body_successes > 1 {
                 return Err(format!(
                     "exactly-once: request {id} body succeeded {} times",
                     rec.body_successes
                 ));
             }
-            if matches!(rec.outcome, Some(VOutcome::Completed { .. })) && rec.body_successes != 1 {
+            if matches!(rec.outcome, Some(Outcome::Completed { .. })) && rec.body_successes != 1 {
                 return Err(format!("request {id} completed without a body success"));
             }
         }
-        if self.admissions != self.records.len() as u64 {
+        if self.books.stats.admitted != records.len() as u64 {
             return Err(format!(
                 "dedup exactness: {} admissions for {} distinct keys",
-                self.admissions,
-                self.records.len()
+                self.books.stats.admitted,
+                records.len()
             ));
         }
-        if self.draining && self.records.len() as u64 != self.admitted_at_drain {
+        if self.draining && records.len() != self.admitted_at_drain {
             return Err(format!(
                 "admit past drain: {} records admitted at drain, {} now",
                 self.admitted_at_drain,
-                self.records.len()
+                records.len()
             ));
         }
         for (d, q) in self.queues.iter().enumerate() {
@@ -354,8 +306,7 @@ impl VirtualProgram for ServeMachine {
                 ));
             }
             for j in q {
-                let rec = self.records.get(&j.id);
-                if !matches!(rec, Some(r) if r.outcome.is_none()) {
+                if !matches!(records.get(&j.id), Some(r) if r.outcome.is_none()) {
                     return Err(format!(
                         "double-run hazard: queued job {} already has a terminal outcome",
                         j.id
@@ -363,18 +314,16 @@ impl VirtualProgram for ServeMachine {
                 }
             }
         }
-        let unresolved = self.records.values().filter(|r| r.outcome.is_none()).count();
-        if unresolved != self.outstanding {
+        let unresolved = records.values().filter(|r| r.outcome.is_none()).count();
+        if unresolved != outstanding {
             return Err(format!(
-                "accounting: outstanding {} != unresolved records {unresolved}",
-                self.outstanding
+                "accounting: outstanding {outstanding} != unresolved records {unresolved}"
             ));
         }
         let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-        if queued != self.outstanding {
+        if queued != outstanding {
             return Err(format!(
-                "accounting: {queued} queued jobs for {} outstanding requests",
-                self.outstanding
+                "accounting: {queued} queued jobs for {outstanding} outstanding requests"
             ));
         }
         Ok(())
@@ -385,10 +334,10 @@ impl VirtualProgram for ServeMachine {
             return Err(format!(
                 "drain stuck: exploration ended with {} outstanding request(s) \
                  and the drain incomplete",
-                self.outstanding
+                self.books.outstanding
             ));
         }
-        for (id, rec) in &self.records {
+        for (id, rec) in &self.books.records {
             if rec.outcome.is_none() {
                 return Err(format!("request {id} admitted but never resolved"));
             }
@@ -404,7 +353,7 @@ impl VirtualProgram for ServeMachine {
         match (a, b) {
             // Distinct-key submits to distinct domains commute: they
             // touch disjoint queues and insert distinct keys into the
-            // shared seen/records maps.
+            // books' records.
             (Submit { id: ia, domain: da, .. }, Submit { id: ib, domain: db, .. }) => {
                 ia == ib || da == db
             }
@@ -430,17 +379,8 @@ impl VirtualProgram for ServeMachine {
     fn state_key(&self) -> u64 {
         stable_hash(
             format!(
-                "{:?}{:?}{:?}{:?}{}{}{}{}{}{}",
-                self.scripts,
-                self.queues,
-                self.records,
-                self.seen,
-                self.admissions,
-                self.shed,
-                self.duplicates,
-                self.refused,
-                self.draining,
-                self.drained,
+                "{:?}{:?}{:?}{}{}",
+                self.scripts, self.queues, self.books, self.draining, self.drained,
             )
             .as_bytes(),
         )
@@ -486,9 +426,9 @@ mod tests {
         );
         drive_first(&mut m);
         m.check_terminal().unwrap();
-        assert_eq!(m.outcome_of(1), Some(VOutcome::Completed { attempts: 1 }));
-        assert_eq!(m.outcome_of(2), Some(VOutcome::Completed { attempts: 2 }));
-        assert_eq!(m.outcome_of(3), Some(VOutcome::Completed { attempts: 3 }));
+        assert_eq!(m.outcome_of(1), Some(Outcome::Completed { attempts: 1, latency: Duration::ZERO }));
+        assert_eq!(m.outcome_of(2), Some(Outcome::Completed { attempts: 2, latency: Duration::ZERO }));
+        assert_eq!(m.outcome_of(3), Some(Outcome::Completed { attempts: 3, latency: Duration::ZERO }));
     }
 
     #[test]
@@ -505,7 +445,7 @@ mod tests {
         drive_first(&mut m);
         m.check_terminal().unwrap();
         assert_eq!(m.duplicates(), 1);
-        assert_eq!(m.outcome_of(1), Some(VOutcome::Completed { attempts: 1 }));
+        assert_eq!(m.outcome_of(1), Some(Outcome::Completed { attempts: 1, latency: Duration::ZERO }));
     }
 
     #[test]

@@ -112,6 +112,9 @@ impl PageTraffic {
     }
 }
 
+/// The most processors a [`Machine`] simulates (sharer sets are 64-bit).
+pub const MAX_PROCS: usize = 64;
+
 /// A simulated DASH-like multiprocessor.
 #[derive(Debug)]
 pub struct Machine {
@@ -148,7 +151,7 @@ pub struct Machine {
 impl Machine {
     /// Build a cold machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.nprocs >= 1 && cfg.nprocs <= 64, "1..=64 processors");
+        assert!((1..=MAX_PROCS).contains(&cfg.nprocs), "1..=64 processors");
         if let Some(t) = &cfg.deep {
             assert_eq!(
                 cfg.procs_per_cluster, t.levels[t.mem_level as usize],

@@ -35,7 +35,9 @@ run git diff --exit-code -- analyze_findings.json
 # cool-check gate: bounded schedule exploration of the serve and queue
 # virtual machines (naive + sleep-set DPOR, zero violations, reduction
 # required), exhaustive small-config protocol reachability, and the pinned
-# app sweep in coherence-checked mode. The byte-stable report is diffed so
+# app sweep in coherence-checked mode. Both machines run shipped code: the
+# queue machine the real steal scan, the serve machine the work server's
+# own request books (admit/start/settle). The byte-stable report is diffed so
 # any change in the explored state space is reviewable; the seeded-defect
 # suite proves each protocol invariant actually fires when its rule is
 # broken.
@@ -91,12 +93,15 @@ run cargo test -q --offline -p dash-sim --lib equiv
 run cargo test -q --release --offline -p dash-sim --test contention_props
 
 # Threaded-runtime gate: the cool-rt suites (chaos, stress, obs trace and
-# the unit tests) and the two root suites that drive the threaded runtime,
-# in release mode by name. The runtime's per-task path relies on
-# Relaxed/Release/Acquire orderings, which optimized builds exercise hardest.
+# the unit tests) and the root suites that drive the threaded runtime and
+# the work server, in release mode by name. The runtime's per-task path
+# relies on Relaxed/Release/Acquire orderings, and every request through
+# the work server takes its books lock; optimized builds exercise both
+# hardest (serve_chaos races a drain against a submit).
 run cargo test -q --release --offline -p cool-rt
 run cargo test -q --release --offline --test threaded_matches_simulated
 run cargo test -q --release --offline --test fault_determinism
+run cargo test -q --release --offline --test serve_chaos
 
 # Perf gate: single-repeat sweep validated against the committed
 # BENCH_8.json — schema check, exact simulated refs/cycles, a hard

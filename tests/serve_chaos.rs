@@ -8,11 +8,12 @@
 //! * drain-under-load (randomised over arrival schedules, queue capacities,
 //!   drain points, and fault seeds): every admitted request reaches a
 //!   terminal outcome, every post-drain submission is refused with the typed
-//!   error, and no idempotency key's body ever succeeds twice.
+//!   error, and no idempotency key's body ever succeeds twice;
+//! * a drain racing a submit either refuses the request or waits for it.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use bench::serve::{run_load, smoke_config, validate_serve_json};
@@ -168,6 +169,62 @@ fn duplicate_mid_retry_and_after_completion_never_reexecutes() {
     assert_eq!(runs[1].load(Ordering::SeqCst), 1, "duplicate re-ran request 1");
     assert_eq!(srv.stats().duplicates, 2);
     assert_eq!(srv.stats().admitted, 2);
+}
+
+/// A drain begun while a submit is in progress must either refuse the
+/// request or wait for it: if the submit was admitted, its body has
+/// finished when `drain` returns. A reader looping `outcomes()` over
+/// 20,000 records holds the request books for long stretches, which
+/// widens any window between the submit's draining check and its
+/// admission.
+#[test]
+fn drain_waits_for_a_request_admitted_as_it_began() {
+    const RECORDS: u64 = 20_000;
+    const TRIALS: usize = 8;
+    let (mut admitted, mut early) = (0, 0);
+    for _ in 0..TRIALS {
+        let srv = WorkServer::new(ServeConfig::new(1, 1).with_capacity(RECORDS as usize));
+        for id in 0..RECORDS {
+            srv.submit(Request::new(id, 0, 1, |_| Ok(()))).unwrap();
+        }
+        while srv.outstanding() > 0 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let (stop, finished) = (AtomicBool::new(false), Arc::new(AtomicBool::new(false)));
+        let start = Barrier::new(2);
+        let (was_admitted, finished_at_drain) = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    std::hint::black_box(srv.outcomes());
+                }
+            });
+            let submit = s.spawn(|| {
+                let finished = finished.clone();
+                start.wait();
+                srv.submit(Request::new(RECORDS, 0, 1, move |_| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    finished.store(true, Ordering::SeqCst);
+                    Ok(())
+                }))
+                .is_ok()
+            });
+            start.wait();
+            // A head start makes a drain that begins mid-submit likely; the
+            // property must hold in every order.
+            std::thread::sleep(Duration::from_micros(100));
+            srv.drain();
+            let finished_at_drain = finished.load(Ordering::SeqCst);
+            stop.store(true, Ordering::SeqCst);
+            (submit.join().unwrap(), finished_at_drain)
+        });
+        admitted += usize::from(was_admitted);
+        early += usize::from(was_admitted && !finished_at_drain);
+    }
+    assert_eq!(
+        early, 0,
+        "drain returned while an admitted request was running in {early} of {admitted} \
+         admitted trials ({TRIALS} trials)"
+    );
 }
 
 proptest! {
