@@ -38,67 +38,27 @@ pub const APP_NAMES: [&str; 6] = [
     "panel_cholesky",
 ];
 
-/// Run one app by name at the pinned fast scale. Panics on an unknown name
-/// (the callers present [`APP_NAMES`] to the user).
+/// Run one app by name with its [`AppScale::Small`] inputs. Panics on an
+/// unknown name (the callers present [`APP_NAMES`] to the user).
 pub fn run_app(
     app: &str,
     cfg: SimConfig,
     version: Version,
     faults: Option<FaultPlan>,
 ) -> AppReport {
+    let scale = AppScale::Small;
     match app {
-        "barnes_hut" => {
-            let params = crate::barnes_hut::BhParams {
-                nbodies: 128,
-                groups: 16,
-                timesteps: 2,
-                theta: 0.6,
-                dt: 0.01,
-                seed: 4,
-            };
-            crate::barnes_hut::run_with_faults(cfg, &params, version, faults)
-        }
+        "barnes_hut" => crate::barnes_hut::run_with_faults(cfg, &bh_params(scale), version, faults),
         "block_cholesky" => {
-            let params = crate::block_cholesky::BlockParams { n: 48, block: 8 };
-            crate::block_cholesky::run_with_faults(cfg, &params, version, faults)
+            crate::block_cholesky::run_with_faults(cfg, &block_params(scale), version, faults)
         }
-        "gauss" => {
-            let params = crate::gauss::GaussParams { n: 32, seed: 7 };
-            crate::gauss::run_with_faults(cfg, &params, version, faults)
-        }
+        "gauss" => crate::gauss::run_with_faults(cfg, &gauss_params(scale), version, faults),
         "locusroute" => {
-            use workloads::circuit::{Circuit, CircuitParams};
-            let params = crate::locusroute::LocusParams {
-                circuit: Circuit::generate(CircuitParams {
-                    width: 64,
-                    height: 16,
-                    regions: 4,
-                    wires_per_region: 24,
-                    crossing_fraction: 0.1,
-                    multi_pin_fraction: 0.15,
-                    seed: 11,
-                }),
-                iterations: 2,
-            };
-            crate::locusroute::run_with_faults(cfg, &params, version, faults)
+            crate::locusroute::run_with_faults(cfg, &locus_params(scale), version, faults)
         }
-        "ocean" => {
-            let params = workloads::ocean::OceanParams {
-                n: 24,
-                num_grids: 4,
-                regions: 8,
-                sweeps: 2,
-                seed: 3,
-            };
-            crate::ocean::run_with_faults(cfg, &params, version, faults)
-        }
+        "ocean" => crate::ocean::run_with_faults(cfg, &ocean_params(scale), version, faults),
         "panel_cholesky" => {
-            use crate::panel_cholesky::{PanelParams, PanelProblem};
-            let prob = PanelProblem::analyse(&PanelParams {
-                matrix: workloads::matrices::grid_laplacian(8),
-                max_panel_width: 4,
-            });
-            crate::panel_cholesky::run_with_faults(cfg, &prob, version, faults)
+            crate::panel_cholesky::run_with_faults(cfg, &panel_problem(scale), version, faults)
         }
         _ => panic!("unknown app {app:?} (expected one of {APP_NAMES:?})"),
     }
