@@ -1,22 +1,26 @@
-//! A name-indexed driver over the six case studies — shared by the analyzer
-//! (`cool-analyze`), the figure harness, the `cool-repro` sweep engine, and
-//! the CI observability gate — plus helpers that turn a run's recorded
+//! A name-indexed driver over the six case studies — shared by the
+//! `cool-repro` sweep engine, the analyzer (`cool-analyze`), the model
+//! checker's checked sweep (`cool-check`) and the CI observability gate —
+//! plus helpers that turn a run's recorded
 //! [`EventLog`](cool_core::EventLog) into the export artifacts: a
 //! Perfetto-loadable Chrome trace and the schema'd `cool-metrics-v1`
 //! summary.
 //!
-//! Three pinned parameter scales live here, so every harness that runs "app
-//! X at scale Y" agrees byte-for-byte on what that means:
+//! [`run_app`] is the one dispatch: it runs an app by name on a given
+//! simulator config with the app's inputs pinned at one of three
+//! [`AppScale`]s, so every harness that runs "app X at scale Y" agrees
+//! byte-for-byte on what that means:
 //!
-//! * [`run_app`] — the *analyzer* scale: small enough that a full sweep is
-//!   test-suite fast, large enough that stealing, mutex contention and
-//!   affinity sets all occur. Pinned — the committed
-//!   `analyze_findings.json` and the trace/metrics goldens depend on it.
-//! * [`run_app_scaled`] with [`AppScale::Small`] — the *bench* small scale
-//!   behind the golden-figures TSV and the perf trajectory.
-//! * [`run_app_scaled`] with [`AppScale::Full`] — the paper-sized inputs
-//!   (working sets exceeding the simulated caches, as the paper's did)
-//!   behind the committed reproduction tables in `results/`.
+//! * [`AppScale::Small`] — small enough that a full sweep is test-suite
+//!   fast, large enough that stealing, mutex contention and affinity sets
+//!   all occur. Behind the golden-figures TSV, the perf trajectory, the
+//!   committed `analyze_findings.json` and `cool_check.json`, and the
+//!   trace/metrics golden.
+//! * [`AppScale::Full`] — the paper-sized inputs (working sets exceeding
+//!   the simulated caches, as the paper's did) behind the committed
+//!   reproduction tables in `results/full`.
+//! * [`AppScale::Deep`] — mid-sized inputs for the 64-processor
+//!   deep-topology and adaptive sweeps.
 //!
 //! It also holds [`Flags`], the small command-line parser every harness
 //! binary shares: unknown flags, missing values and malformed values are
@@ -37,32 +41,6 @@ pub const APP_NAMES: [&str; 6] = [
     "ocean",
     "panel_cholesky",
 ];
-
-/// Run one app by name with its [`AppScale::Small`] inputs. Panics on an
-/// unknown name (the callers present [`APP_NAMES`] to the user).
-pub fn run_app(
-    app: &str,
-    cfg: SimConfig,
-    version: Version,
-    faults: Option<FaultPlan>,
-) -> AppReport {
-    let scale = AppScale::Small;
-    match app {
-        "barnes_hut" => crate::barnes_hut::run_with_faults(cfg, &bh_params(scale), version, faults),
-        "block_cholesky" => {
-            crate::block_cholesky::run_with_faults(cfg, &block_params(scale), version, faults)
-        }
-        "gauss" => crate::gauss::run_with_faults(cfg, &gauss_params(scale), version, faults),
-        "locusroute" => {
-            crate::locusroute::run_with_faults(cfg, &locus_params(scale), version, faults)
-        }
-        "ocean" => crate::ocean::run_with_faults(cfg, &ocean_params(scale), version, faults),
-        "panel_cholesky" => {
-            crate::panel_cholesky::run_with_faults(cfg, &panel_problem(scale), version, faults)
-        }
-        _ => panic!("unknown app {app:?} (expected one of {APP_NAMES:?})"),
-    }
-}
 
 /// The experiment scales the figure/reproduction harnesses run at:
 /// `Small` for tests and CI smoke sweeps (scaled-down machine and inputs),
@@ -88,16 +66,6 @@ impl AppScale {
             AppScale::Small => "small",
             AppScale::Full => "full",
             AppScale::Deep => "deep",
-        }
-    }
-
-    /// Parse [`AppScale::name`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "small" => Some(AppScale::Small),
-            "full" => Some(AppScale::Full),
-            "deep" => Some(AppScale::Deep),
-            _ => None,
         }
     }
 }
@@ -238,18 +206,29 @@ pub fn gauss_params(scale: AppScale) -> crate::gauss::GaussParams {
     }
 }
 
-/// Run one app by name at a bench/repro scale. This is the single dispatch
-/// point behind the figure drivers, the golden perf sweep, and the
-/// `cool-repro` matrix, so all of them agree on the inputs. Panics on an
-/// unknown name.
-pub fn run_app_scaled(app: &str, cfg: SimConfig, scale: AppScale, version: Version) -> AppReport {
+/// Run one app by name on `cfg` with its inputs pinned at `scale`,
+/// optionally perturbed by a deterministic fault plan. Panics on an unknown
+/// name (the callers present [`APP_NAMES`] to the user).
+pub fn run_app(
+    app: &str,
+    cfg: SimConfig,
+    scale: AppScale,
+    version: Version,
+    faults: Option<FaultPlan>,
+) -> AppReport {
     match app {
-        "barnes_hut" => crate::barnes_hut::run(cfg, &bh_params(scale), version),
-        "block_cholesky" => crate::block_cholesky::run(cfg, &block_params(scale), version),
-        "gauss" => crate::gauss::run(cfg, &gauss_params(scale), version),
-        "locusroute" => crate::locusroute::run(cfg, &locus_params(scale), version),
-        "ocean" => crate::ocean::run(cfg, &ocean_params(scale), version),
-        "panel_cholesky" => crate::panel_cholesky::run(cfg, &panel_problem(scale), version),
+        "barnes_hut" => crate::barnes_hut::run_with_faults(cfg, &bh_params(scale), version, faults),
+        "block_cholesky" => {
+            crate::block_cholesky::run_with_faults(cfg, &block_params(scale), version, faults)
+        }
+        "gauss" => crate::gauss::run_with_faults(cfg, &gauss_params(scale), version, faults),
+        "locusroute" => {
+            crate::locusroute::run_with_faults(cfg, &locus_params(scale), version, faults)
+        }
+        "ocean" => crate::ocean::run_with_faults(cfg, &ocean_params(scale), version, faults),
+        "panel_cholesky" => {
+            crate::panel_cholesky::run_with_faults(cfg, &panel_problem(scale), version, faults)
+        }
         _ => panic!("unknown app {app:?} (expected one of {APP_NAMES:?})"),
     }
 }
@@ -295,7 +274,7 @@ pub fn params_fingerprint(app: &str, scale: AppScale) -> String {
 }
 
 /// The scheduling-version ladder the paper presents for each app, in figure
-/// order. The `cool-repro` matrix sweeps exactly these.
+/// order: the series `repro` sweeps for an app unless given `--versions`.
 pub fn versions_for(app: &str) -> &'static [Version] {
     match app {
         "ocean" | "gauss" => &[Version::Base, Version::Distr, Version::AffinityDistr],

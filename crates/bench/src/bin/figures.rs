@@ -1,30 +1,30 @@
-//! Regenerate the paper's tables and figures as TSV on stdout.
+//! Print the paper's exhibits that are not sweeps — Table 1, Figure 1, the
+//! §1/§8 headline and the design-choice ablations — as TSV on stdout.
+//! Figures 3 and 5–16 are sweeps: `repro --apps X --scale full` prints them.
 //!
 //! ```text
-//! cargo run --release -p bench --bin figures -- --all
-//! cargo run --release -p bench --bin figures -- --ocean --panel
+//! cargo run --release -p bench --bin figures                 # every exhibit
 //! cargo run --release -p bench --bin figures -- --summary --procs 16
-//! cargo run --release -p bench --bin figures -- --all --small   # quick pass
+//! cargo run --release -p bench --bin figures -- --small      # quick pass
 //! cargo run --release -p bench --bin figures -- --trace-out gauss_obs
 //! ```
 //!
+//! With no exhibit named, every exhibit but the trace is printed. `--small`
+//! runs Figure 1 and the headline on the scaled-down machine; the headline
+//! runs at the last of `--procs` (default 32, or 8 with `--small`).
+//!
 //! `--trace-out BASE` runs one app (default `gauss`; pick another of the six
-//! with `--trace-app NAME`) at the pinned fast scale, on the contended
+//! with `--trace-app NAME`) at the pinned small scale, on the contended
 //! 8-processor machine `results/smoke` uses, with scheduler tracing enabled
 //! and writes `BASE.trace.json` — load it in Perfetto or `chrome://tracing`
 //! — plus `BASE.metrics.json`, the byte-stable `cool-metrics-v1` summary
 //! the CI gate diffs.
 
 use apps::driver::Flags;
-use bench::ablation;
-use bench::{
-    fig_barnes_hut, fig_block_cholesky, fig_gauss, fig_locusroute, fig_ocean,
-    fig_panel_cholesky, machine_table, print_rows, summary, table1, Scale,
-};
+use bench::{ablation, machine_table, summary, table1, Scale};
 
-const USAGE: &str = "usage: figures [--all] [--table1] [--machine] [--gauss] [--ocean] \
-[--locusroute] [--panel] [--block] [--barnes] [--ablations] [--summary] [--small] \
-[--procs 1,4,16] [--trace-out BASE [--trace-app APP]]";
+const USAGE: &str = "usage: figures [--all] [--table1] [--machine] [--ablations] [--summary] \
+[--small] [--procs 1,4,16] [--trace-out BASE [--trace-app APP]]";
 
 fn main() {
     let flags = Flags::from_env(
@@ -34,12 +34,6 @@ fn main() {
             "--small",
             "--table1",
             "--machine",
-            "--gauss",
-            "--ocean",
-            "--locusroute",
-            "--panel",
-            "--block",
-            "--barnes",
             "--ablations",
             "--summary",
         ],
@@ -47,26 +41,28 @@ fn main() {
         0,
     );
     let has = |f: &str| flags.has(f);
-    let all = has("--all") || std::env::args().len() == 1;
+    let selected = ["--table1", "--machine", "--ablations", "--summary"]
+        .into_iter()
+        .any(has)
+        || flags.value("--trace-out").is_some();
+    let all = has("--all") || !selected;
     let scale = if has("--small") {
         Scale::Small
     } else {
         Scale::Full
     };
-    let procs = flags
-        .parsed(
-            "--procs",
-            "a comma list of processor counts in 1..=64",
-            apps::driver::proc_list,
-        )
-        .unwrap_or_else(|| scale.default_procs());
+    let procs = flags.parsed(
+        "--procs",
+        "a comma list of processor counts in 1..=64",
+        apps::driver::proc_list,
+    );
     let app = flags.parsed("--trace-app", "an app name", apps::driver::app_name);
 
     if let Some(base) = flags.value("--trace-out") {
         let app = app.unwrap_or("gauss");
         let version = apps::Version::AffinityDistr;
         let cfg = Scale::Small.config(8, version).with_trace();
-        let report = apps::driver::run_app(app, cfg, version, None);
+        let report = apps::driver::run_app(app, cfg, Scale::Small.app_scale(), version, None);
         let (trace, metrics) = apps::driver::trace_artifacts(&report);
         for (suffix, doc) in [("trace", &trace), ("metrics", &metrics)] {
             let path = format!("{base}.{suffix}.json");
@@ -90,36 +86,6 @@ fn main() {
         }
         println!();
     }
-    if all || has("--gauss") {
-        println!("# Figure 3 example: column Gaussian elimination (TASK+OBJECT affinity)");
-        print_rows(&fig_gauss(&procs, scale));
-        println!();
-    }
-    if all || has("--ocean") {
-        println!("# Figures 5-7: Ocean");
-        print_rows(&fig_ocean(&procs, scale));
-        println!();
-    }
-    if all || has("--locusroute") {
-        println!("# Figures 10-11: LocusRoute");
-        print_rows(&fig_locusroute(&procs, scale));
-        println!();
-    }
-    if all || has("--panel") {
-        println!("# Figures 14-15: Panel Cholesky");
-        print_rows(&fig_panel_cholesky(&procs, scale));
-        println!();
-    }
-    if all || has("--block") {
-        println!("# Figure 16 (right): Block Cholesky");
-        print_rows(&fig_block_cholesky(&procs, scale));
-        println!();
-    }
-    if all || has("--barnes") {
-        println!("# Figure 16 (left): Barnes-Hut");
-        print_rows(&fig_barnes_hut(&procs, scale));
-        println!();
-    }
     if all || has("--ablations") {
         let p = 16;
         println!("# Ablations (see EXPERIMENTS.md): isolating one mechanism each, {p} procs");
@@ -135,7 +101,8 @@ fn main() {
         println!();
     }
     if all || has("--summary") {
-        let p = *procs.last().unwrap_or(&16);
+        let default = if scale == Scale::Small { 8 } else { 32 };
+        let p = procs.and_then(|p| p.last().copied()).unwrap_or(default);
         println!("# Headline (Sections 1/8): improvement of hinted over Base at {p} procs");
         println!("app\timprovement%");
         for (app, gain) in summary(p, scale) {

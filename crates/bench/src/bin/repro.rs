@@ -10,8 +10,11 @@
 //! cargo run --release -p bench --bin repro -- --smoke --race-serial \
 //!     --out target/repro-smoke --check results/smoke/records.json
 //!
-//! # a slice of the matrix, host-parallel, memoized:
+//! # a slice of the matrix, host-parallel, memoized, as TSV on stdout:
 //! cargo run --release -p bench --bin repro -- --apps gauss,ocean --procs 1,8
+//!
+//! # one app's paper figure (here Figures 5–7) at full scale:
+//! cargo run --release -p bench --bin repro -- --apps ocean --scale full
 //! ```
 //!
 //! Flags:
@@ -21,17 +24,21 @@
 //!   the pinned deep-topology matrix (3 apps × 5 versions × {1, 8, 32, 64}
 //!   on the 3-level 64-processor machine); `--adaptive` — the pinned
 //!   static-vs-adaptive comparison (3 apps × 5 versions × {1, 8, 32, 64},
-//!   same deep machine, adding the feedback-driven versions).
+//!   same deep machine, adding the feedback-driven versions). At most one
+//!   of these, and none together with the slice flags below.
 //! * `--apps A,B` / `--versions L1,L2` / `--procs 1,4` /
-//!   `--scale small|full|deep` — build a custom slice (1-processor `Base`
-//!   baselines are always kept).
+//!   `--scale small|full|deep` — build a custom slice: the given versions
+//!   at the given counts, each defaulting to the paper's ladder and counts
+//!   for each app (1-processor `Base` baselines are always kept). With none
+//!   of them, the whole matrix at small scale.
 //! * `--jobs N` — worker threads (default: one per host CPU).
 //! * `--serial` — run through a single pool worker.
 //! * `--race-serial` — run the matrix twice, serially then pooled, assert
 //!   byte-identical records, and log both wall-clocks.
 //! * `--no-cache` / `--cache-dir DIR` — memoization control (default
 //!   `target/repro-cache`).
-//! * `--out DIR` — write `records.json`, `tables.md`, `tables.tsv`.
+//! * `--out DIR` — write `records.json`, `tables.md`, `tables.tsv`;
+//!   without it the TSV table goes to stdout.
 //! * `--check FILE [--tolerance 0.02]` — drift-gate against a golden.
 //! * `--trace-out BASE` — write the sweep's own Perfetto trace.
 
@@ -44,8 +51,8 @@ use bench::repro::{
 };
 use bench::Scale;
 
-const USAGE: &str = "usage: repro [--smoke | --full | --deep | --adaptive] \
-[--apps A,B] [--versions L1,L2] [--procs 1,4] [--scale small|full|deep] \
+const USAGE: &str = "usage: repro [--smoke | --full | --deep | --adaptive | \
+[--apps A,B] [--versions L1,L2] [--procs 1,4] [--scale small|full|deep]] \
 [--jobs N] [--serial] [--race-serial] [--no-cache] [--cache-dir DIR] [--out DIR] \
 [--check FILE [--tolerance F]] [--trace-out BASE]";
 
@@ -86,25 +93,29 @@ fn main() -> ExitCode {
     );
     let jobs: Option<usize> = flags.parsed("--jobs", "a number", |v| v.parse().ok());
 
-    let scale = if has("--full") {
-        Scale::Full
-    } else if has("--deep") || has("--adaptive") {
-        Scale::Deep
-    } else {
-        scale.unwrap_or(Scale::Small)
-    };
-
-    let points = if has("--smoke") {
-        repro::smoke_matrix()
-    } else if has("--adaptive") {
-        repro::adaptive_matrix()
-    } else if has("--deep") {
-        repro::deep_matrix()
-    } else if has("--full") || (apps.is_none() && versions.is_none() && procs.is_none()) {
-        repro::full_matrix(scale)
-    } else {
-        let apps = apps.unwrap_or_else(|| apps::driver::APP_NAMES.to_vec());
-        repro::build_matrix(&apps, versions.as_deref(), procs.as_deref(), scale)
+    // A preset is a pinned matrix: it takes no second preset and no slice flag.
+    let presets: Vec<&str> = ["--smoke", "--full", "--deep", "--adaptive"]
+        .into_iter()
+        .filter(|f| has(f))
+        .collect();
+    let filter = ["--apps", "--versions", "--procs", "--scale"]
+        .into_iter()
+        .find(|f| flags.value(f).is_some());
+    let (points, scale) = match (presets.as_slice(), filter) {
+        ([a, b, ..], _) => flags.fail(&format!("{a} and {b} select different matrices")),
+        ([preset], Some(filter)) => flags.fail(&format!(
+            "{preset} is a pinned matrix and takes no {filter}"
+        )),
+        (["--smoke"], None) => (repro::smoke_matrix(), Scale::Small),
+        (["--full"], None) => (repro::full_matrix(Scale::Full), Scale::Full),
+        (["--deep"], None) => (repro::deep_matrix(), Scale::Deep),
+        ([_adaptive], None) => (repro::adaptive_matrix(), Scale::Deep),
+        ([], _) => {
+            let scale = scale.unwrap_or(Scale::Small);
+            let apps = apps.unwrap_or_else(|| apps::driver::APP_NAMES.to_vec());
+            let points = repro::build_matrix(&apps, versions.as_deref(), procs.as_deref(), scale);
+            (points, scale)
+        }
     };
     let scale_name = scale.app_scale().name();
     eprintln!(
@@ -185,19 +196,26 @@ fn main() -> ExitCode {
         outcome
     };
 
-    if let Some(dir) = opt("--out") {
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("repro: cannot create {}: {e}", dir.display()));
-        let doc = records_doc(scale_name, &outcome.records);
-        let md = repro::markdown_report(&outcome.records, scale_name);
-        let tsv = repro::records_tsv(&outcome.records);
-        for (name, body) in [("records.json", &doc), ("tables.md", &md), ("tables.tsv", &tsv)] {
-            let path = dir.join(name);
-            std::fs::write(&path, body)
-                .unwrap_or_else(|e| panic!("repro: cannot write {}: {e}", path.display()));
-            eprintln!("repro: wrote {}", path.display());
+    let tsv = repro::records_tsv(&outcome.records);
+    match opt("--out") {
+        Some(dir) => {
+            let dir = std::path::PathBuf::from(dir);
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("repro: cannot create {}: {e}", dir.display()));
+            let doc = records_doc(scale_name, &outcome.records);
+            let md = repro::markdown_report(&outcome.records, scale_name);
+            for (name, body) in [
+                ("records.json", &doc),
+                ("tables.md", &md),
+                ("tables.tsv", &tsv),
+            ] {
+                let path = dir.join(name);
+                std::fs::write(&path, body)
+                    .unwrap_or_else(|e| panic!("repro: cannot write {}: {e}", path.display()));
+                eprintln!("repro: wrote {}", path.display());
+            }
         }
+        None => print!("{tsv}"),
     }
 
     if let Some(base) = opt("--trace-out") {

@@ -2,17 +2,21 @@
 //! the recorded perf trajectory (`BENCH_*.json`).
 //!
 //! Everything here is deliberately frozen: the six applications, two
-//! scheduling versions, two processor counts and `Scale::Small` inputs. The
-//! golden test (`tests/golden_figures.rs`) asserts the full performance-
-//! monitor breakdown of this sweep byte-for-byte against a committed TSV, so
-//! any change to simulated behaviour — intentional or not — shows up as a
-//! diff. The `perfbench` binary times the same sweep in wall-clock terms and
-//! emits one point of the perf trajectory (refs/sec, wall-clock per app).
+//! scheduling versions, two processor counts and `Scale::Small` inputs. Each
+//! cell is a [`MatrixPoint`] of the reproduction matrix, run through
+//! [`MatrixPoint::run`] like every other point. The golden test
+//! (`tests/golden_figures.rs`) asserts the full performance-monitor
+//! breakdown of this sweep byte-for-byte against a committed TSV, so any
+//! change to simulated behaviour — intentional or not — shows up as a diff.
+//! The `perfbench` binary times the same sweep in wall-clock terms and emits
+//! one point of the perf trajectory (refs/sec, wall-clock per app).
 
 use std::time::Instant;
 
-use apps::{AppReport, Version};
+use apps::driver;
+use apps::Version;
 
+use crate::repro::{self, MatrixPoint, ReproRecord};
 use crate::Scale;
 
 /// Processor counts of the pinned sweep.
@@ -32,82 +36,62 @@ pub const SWEEP_APPS: [&str; 6] = [
     "gauss",
 ];
 
-/// One cell of the sweep: an (app, version, procs) run and its report.
-#[derive(Clone, Debug)]
-pub struct SweepCell {
-    /// Application name.
-    pub app: &'static str,
-    /// Scheduling version the cell ran under.
-    pub version: Version,
-    /// Processor count.
-    pub nprocs: usize,
-    /// The run's full report.
-    pub report: AppReport,
+/// One application's slice of the sweep: both versions at both counts, in
+/// golden order.
+fn sweep_points(app: &'static str) -> Vec<MatrixPoint> {
+    let mut points = repro::build_matrix(
+        &[app],
+        Some(&SWEEP_VERSIONS),
+        Some(&SWEEP_PROCS),
+        Scale::Small,
+    );
+    // The sweep reports no speedups, so it leaves out the 1-processor
+    // baseline every matrix carries.
+    points.retain(|p| SWEEP_PROCS.contains(&p.nprocs));
+    points
 }
 
-/// Run one pinned-scale application instance (the shared scaled dispatch
-/// in `apps::driver` guarantees these are the same inputs the figure
-/// drivers and the repro matrix use).
-pub fn run_app(app: &str, v: Version, nprocs: usize) -> AppReport {
-    let scale = Scale::Small;
-    apps::driver::run_app_scaled(app, scale.config(nprocs, v), scale.app_scale(), v)
-}
-
-/// Run every cell of one application's slice of the sweep.
-pub fn run_app_cells(app: &'static str) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for &v in &SWEEP_VERSIONS {
-        for &p in &SWEEP_PROCS {
-            cells.push(SweepCell {
-                app,
-                version: v,
-                nprocs: p,
-                report: run_app(app, v, p),
-            });
-        }
-    }
-    cells
-}
-
-/// Run the full pinned sweep: all six apps, both versions, both counts.
-pub fn run_sweep() -> Vec<SweepCell> {
-    SWEEP_APPS.iter().flat_map(|&a| run_app_cells(a)).collect()
+/// Run the full pinned sweep: all six apps, both versions, both counts, one
+/// record per cell in golden order.
+pub fn run_sweep() -> Vec<ReproRecord> {
+    let points: Vec<MatrixPoint> = SWEEP_APPS.into_iter().flat_map(sweep_points).collect();
+    repro::run_serial(&points).0
 }
 
 /// TSV header of the golden file.
 pub const GOLDEN_HEADER: &str = "app\tseries\tprocs\trefs\tl1_hits\tl2_hits\tlocal_misses\t\
 remote_misses\tinvalidations\telapsed\tbusy\tidle\toverhead\twait\tmax_err";
 
-/// One cell as a golden TSV row: the full monitor breakdown plus virtual
-/// cycles, formatted with no floating-point beyond the numeric-error column.
-pub fn golden_row(c: &SweepCell) -> String {
-    let r = &c.report.run;
+/// One cell's record as a golden TSV row: the full monitor breakdown plus
+/// virtual cycles, formatted with no floating-point beyond the
+/// numeric-error column.
+pub fn golden_row(r: &ReproRecord) -> String {
     format!(
         "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3e}",
-        c.app,
-        c.version.label(),
-        c.nprocs,
-        r.mem.refs,
-        r.mem.l1_hits,
-        r.mem.l2_hits,
-        r.mem.local_misses,
-        r.mem.remote_misses,
-        r.mem.invalidations,
+        r.app,
+        r.series,
+        r.nprocs,
+        r.refs,
+        r.l1_hits,
+        r.l2_hits,
+        r.local_misses,
+        r.remote_misses,
+        r.invalidations,
         r.elapsed,
-        r.busy_cycles,
-        r.idle_cycles,
-        r.overhead_cycles,
-        r.contention.total_wait(),
-        c.report.max_error,
+        r.busy,
+        r.idle,
+        r.overhead,
+        r.wait_cycles,
+        r.max_error,
     )
 }
 
 /// The whole sweep as the golden TSV (header + one row per cell + newline).
-pub fn golden_tsv(cells: &[SweepCell]) -> String {
+pub fn golden_tsv(records: &[ReproRecord]) -> String {
     let mut out = String::from(GOLDEN_HEADER);
     out.push('\n');
-    for c in cells {
-        out.push_str(&golden_row(c));
+    for r in records {
+        out.push_str(&golden_row(r));
         out.push('\n');
     }
     out
@@ -147,15 +131,16 @@ impl AppTiming {
 pub fn time_sweep(repeats: u32, iters: u32) -> Vec<AppTiming> {
     assert!(repeats >= 1 && iters >= 1);
     let mut out = Vec::new();
-    for &app in &SWEEP_APPS {
+    for app in SWEEP_APPS {
+        let points = sweep_points(app);
         let mut best_ms = f64::INFINITY;
         let mut counts: Option<(u64, u64)> = None;
         for _ in 0..repeats {
             let t0 = Instant::now();
             for _ in 0..iters {
-                let cells = run_app_cells(app);
-                let refs: u64 = cells.iter().map(|c| c.report.run.mem.refs).sum();
-                let cycles: u64 = cells.iter().map(|c| c.report.run.elapsed).sum();
+                let records = repro::run_serial(&points).0;
+                let refs: u64 = records.iter().map(|r| r.refs).sum();
+                let cycles: u64 = records.iter().map(|r| r.elapsed).sum();
                 match counts {
                     None => counts = Some((refs, cycles)),
                     Some(prev) => assert_eq!(
@@ -266,23 +251,15 @@ pub fn calibration_ops_per_sec(repeats: u32) -> f64 {
     OPS as f64 / (best_ms / 1000.0)
 }
 
-/// Wall-clock of one pass over every figure driver at `Scale::Small` with
-/// the small default processor list — the same code path as
-/// `figures --all --small`, timed in-process.
+/// Wall-clock of one serial pass over every app's version ladder at 1, 2,
+/// 4 and 8 processors at `Scale::Small`. (Emitted as
+/// `figures_small_wall_ms`, its name in every `BENCH_*.json`, so the
+/// trajectory stays comparable.)
 pub fn figures_small_wall_ms() -> f64 {
-    let scale = Scale::Small;
-    let procs = scale.default_procs();
-    let t0 = Instant::now();
-    let mut rows = 0usize;
-    rows += crate::fig_gauss(&procs, scale).len();
-    rows += crate::fig_ocean(&procs, scale).len();
-    rows += crate::fig_locusroute(&procs, scale).len();
-    rows += crate::fig_panel_cholesky(&procs, scale).len();
-    rows += crate::fig_block_cholesky(&procs, scale).len();
-    rows += crate::fig_barnes_hut(&procs, scale).len();
-    let ms = t0.elapsed().as_secs_f64() * 1000.0;
-    assert!(rows > 0);
-    ms
+    let points = repro::build_matrix(&driver::APP_NAMES, None, Some(&[1, 2, 4, 8]), Scale::Small);
+    let (records, wall) = repro::run_serial(&points);
+    assert!(!records.is_empty());
+    wall.as_secs_f64() * 1000.0
 }
 
 /// Wall-clock of one pass over the feedback-driven ladder entries at
@@ -291,16 +268,16 @@ pub fn figures_small_wall_ms() -> f64 {
 /// closed-loop layer; emitted as its own JSON key so the static `total`
 /// block (and the baseline gate over it) is untouched.
 pub fn adaptive_small_wall_ms() -> f64 {
-    let t0 = Instant::now();
-    let mut refs = 0u64;
-    for app in ["gauss", "ocean", "panel_cholesky"] {
-        for v in [Version::AffinityDistrAdaptive, Version::AffinityDistrRebalance] {
-            refs += run_app(app, v, 8).run.mem.refs;
-        }
-    }
-    let ms = t0.elapsed().as_secs_f64() * 1000.0;
-    assert!(refs > 0);
-    ms
+    let versions = [
+        Version::AffinityDistrAdaptive,
+        Version::AffinityDistrRebalance,
+    ];
+    let apps = ["gauss", "ocean", "panel_cholesky"];
+    let mut points = repro::build_matrix(&apps, Some(&versions), Some(&[8]), Scale::Small);
+    points.retain(|p| p.nprocs == 8);
+    let (records, wall) = repro::run_serial(&points);
+    assert!(records.iter().all(|r| r.refs > 0));
+    wall.as_secs_f64() * 1000.0
 }
 
 #[cfg(test)]
@@ -309,12 +286,15 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_apps_versions_and_counts() {
-        // One cheap cell per app suffices to prove the dispatch table is
-        // complete; the full sweep runs in the golden test.
-        for &app in &SWEEP_APPS {
-            let rep = run_app(app, Version::Base, 4);
-            assert!(rep.run.mem.refs > 0, "{app} issued no references");
-            assert!(rep.max_error < 1e-6, "{app} numerically wrong");
+        // One cheap cell per app suffices to prove every app runs; the full
+        // sweep runs in the golden test.
+        for app in SWEEP_APPS {
+            let points = sweep_points(app);
+            assert_eq!(points.len(), SWEEP_VERSIONS.len() * SWEEP_PROCS.len());
+            let r = points[0].run();
+            assert_eq!((r.series.as_str(), r.nprocs), ("Base", 4));
+            assert!(r.refs > 0, "{app} issued no references");
+            assert!(r.max_error < 1e-6, "{app} numerically wrong");
         }
         assert_eq!(SWEEP_APPS.len(), 6);
         assert_eq!(SWEEP_VERSIONS.len(), 2);
@@ -323,8 +303,7 @@ mod tests {
 
     #[test]
     fn golden_rows_are_stable_format() {
-        let cells = run_app_cells("gauss");
-        let tsv = golden_tsv(&cells);
+        let tsv = golden_tsv(&repro::run_serial(&sweep_points("gauss")).0);
         let mut lines = tsv.lines();
         assert_eq!(lines.next(), Some(GOLDEN_HEADER));
         let first = lines.next().expect("at least one row");

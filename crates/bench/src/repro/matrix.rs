@@ -28,7 +28,7 @@ impl MatrixPoint {
             self.app,
             self.version.label(),
             self.nprocs,
-            self.scale.app_scale().name()
+            self.scale.name()
         )
     }
 
@@ -56,12 +56,12 @@ impl MatrixPoint {
     /// and whenever they run.
     pub fn run(&self) -> ReproRecord {
         let cfg = self.scale.config(self.nprocs, self.version);
-        let report = driver::run_app_scaled(self.app, cfg, self.scale.app_scale(), self.version);
+        let report = driver::run_app(self.app, cfg, self.scale.app_scale(), self.version, None);
         ReproRecord::from_report(
             self.app,
             self.version,
             self.nprocs,
-            self.scale.app_scale().name(),
+            self.scale.name(),
             self.config_string(),
             &report,
         )
@@ -112,29 +112,17 @@ pub const DEEP_PROCS: [usize; 4] = [1, 8, 32, 64];
 
 /// The pinned deep-topology matrix: 3 apps × 5 versions × {1, 8, 32, 64}
 /// processors on the 3-level 64-processor machine, validated against
-/// `results/deep/records.json` by the CI drift gate. Built with explicit
-/// loops rather than [`build_matrix`] because the socket/widen versions are
-/// deliberately *not* in the apps' paper ladders ([`driver::versions_for`])
-/// — they exist only on deep trees, where "cluster" and "whole machine" stop
-/// being the only two choices.
+/// `results/deep/records.json` by the CI drift gate. The socket/widen
+/// versions are deliberately *not* in the apps' paper ladders
+/// ([`driver::versions_for`]) — they exist only on deep trees, where
+/// "cluster" and "whole machine" stop being the only two choices.
 pub fn deep_matrix() -> Vec<MatrixPoint> {
-    let mut points = Vec::new();
-    for &app in &DEEP_APPS {
-        for &version in &DEEP_VERSIONS {
-            for &nprocs in &DEEP_PROCS {
-                let point = MatrixPoint {
-                    app,
-                    version,
-                    nprocs,
-                    scale: Scale::Deep,
-                };
-                if !points.contains(&point) {
-                    points.push(point);
-                }
-            }
-        }
-    }
-    points
+    build_matrix(
+        &DEEP_APPS,
+        Some(&DEEP_VERSIONS),
+        Some(&DEEP_PROCS),
+        Scale::Deep,
+    )
 }
 
 /// Apps of the adaptive-policy sweep (same trio as the deep sweep, so the
@@ -158,34 +146,23 @@ pub const ADAPTIVE_PROCS: [usize; 4] = DEEP_PROCS;
 /// `results/adaptive/records.json` by the CI drift gate. Runs at
 /// [`Scale::Deep`] because that is where the static locality ceilings
 /// visibly starve (cluster-only stealing on a 64-way tree) — the regime the
-/// feedback loop exists for. Built with explicit loops for the same reason
-/// as [`deep_matrix`]: the adaptive versions are not in any app's paper
-/// ladder.
+/// feedback loop exists for. The adaptive versions are not in any app's
+/// paper ladder.
 pub fn adaptive_matrix() -> Vec<MatrixPoint> {
-    let mut points = Vec::new();
-    for &app in &ADAPTIVE_APPS {
-        for &version in &ADAPTIVE_VERSIONS {
-            for &nprocs in &ADAPTIVE_PROCS {
-                let point = MatrixPoint {
-                    app,
-                    version,
-                    nprocs,
-                    scale: Scale::Deep,
-                };
-                if !points.contains(&point) {
-                    points.push(point);
-                }
-            }
-        }
-    }
-    points
+    build_matrix(
+        &ADAPTIVE_APPS,
+        Some(&ADAPTIVE_VERSIONS),
+        Some(&ADAPTIVE_PROCS),
+        Scale::Deep,
+    )
 }
 
-/// Build a matrix from filters. `versions`/`procs` of `None` mean "the
-/// paper's ladder/counts for each app". Unknown version labels or counts
-/// are the caller's problem (the point will panic when run); unknown app
-/// names panic here. Every app's 1-processor `Base` baseline is always
-/// included so speedups are well-defined on any slice.
+/// Build a matrix for `apps`: every given version at every given
+/// processor count, in the order given. `versions`/`procs` of `None` mean
+/// "the paper's ladder/counts for each app" ([`driver::versions_for`],
+/// [`driver::procs_for`]); a version outside an app's ladder runs like any
+/// other. Unknown app names panic here. Every app's 1-processor `Base`
+/// baseline is always included so speedups are well-defined on any slice.
 pub fn build_matrix(
     apps: &[&'static str],
     versions: Option<&[Version]>,
@@ -194,38 +171,22 @@ pub fn build_matrix(
 ) -> Vec<MatrixPoint> {
     let mut points = Vec::new();
     for &app in apps {
-        let ladder = driver::versions_for(app);
-        let counts = driver::procs_for(app, scale.app_scale());
-        let baseline = MatrixPoint {
-            app,
-            version: Version::Base,
-            nprocs: 1,
-            scale,
-        };
-        if !points.contains(&baseline) {
-            points.push(baseline);
-        }
-        for &v in ladder {
-            if let Some(sel) = versions {
-                if !sel.contains(&v) {
-                    continue;
-                }
-            }
-            for &p in counts {
-                if let Some(sel) = procs {
-                    if !sel.contains(&p) {
-                        continue;
-                    }
-                }
-                let point = MatrixPoint {
-                    app,
-                    version: v,
-                    nprocs: p,
-                    scale,
-                };
-                if !points.contains(&point) {
-                    points.push(point);
-                }
+        let versions = versions.unwrap_or(driver::versions_for(app));
+        let counts = procs.unwrap_or(driver::procs_for(app, scale.app_scale()));
+        let baseline = (Version::Base, 1);
+        for (version, nprocs) in std::iter::once(baseline).chain(
+            versions
+                .iter()
+                .flat_map(|&v| counts.iter().map(move |&p| (v, p))),
+        ) {
+            let point = MatrixPoint {
+                app,
+                version,
+                nprocs,
+                scale,
+            };
+            if !points.contains(&point) {
+                points.push(point);
             }
         }
     }
@@ -340,6 +301,27 @@ mod tests {
             nprocs: 1,
             scale: Scale::Small,
         }));
+    }
+
+    #[test]
+    fn given_counts_and_versions_are_taken_as_given() {
+        // A count outside the paper's list runs, next to the baseline.
+        let m = build_matrix(&["gauss"], None, Some(&[3]), Scale::Small);
+        let at3: Vec<Version> = m
+            .iter()
+            .filter(|p| p.nprocs == 3)
+            .map(|p| p.version)
+            .collect();
+        assert_eq!(at3, driver::versions_for("gauss"), "{m:?}");
+        assert_eq!(
+            m.len(),
+            1 + 3,
+            "baseline + the ladder at 3 processors: {m:?}"
+        );
+        // So does a version outside the app's ladder.
+        let m = build_matrix(&["gauss"], Some(&[Version::Affinity]), None, Scale::Small);
+        assert_eq!(m.len(), 1 + 6, "{m:?}");
+        assert!(m.iter().skip(1).all(|p| p.version == Version::Affinity));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Two output shapes, both deterministic down to the byte so the committed
 //! artifacts under `results/` are regenerable verbatim:
 //!
-//! * **TSV** — the same nine columns the `figures` binary has always
-//!   printed (shared line formatter, so the two harnesses cannot drift);
+//! * **TSV** — one line per record: speedup, elapsed cycles, misses, the
+//!   local fraction, adherence, contention wait and numeric error;
 //! * **Markdown** — per application, a speedup table (processor counts ×
 //!   version series, Figures 5–16) and a cache-miss breakdown table
 //!   (cache / local / remote attribution, Figures 11 & 15), mapped
@@ -13,76 +13,32 @@
 use std::collections::BTreeSet;
 
 use super::record::ReproRecord;
-use crate::FigureRow;
 
 /// Header of the ten-column figure TSV (`wait` is the contention
 /// engine's queue-wait total; 0 in zero-contention sweeps).
 pub const TSV_HEADER: &str =
     "figure\tseries\tprocs\tspeedup\telapsed\tmisses\tlocal%\tadherence\twait\tmax_err";
 
-/// One formatted TSV line — the single definition both the `figures` binary
-/// and the repro renderer print through.
-#[allow(clippy::too_many_arguments)]
-pub fn tsv_line(
-    figure: &str,
-    series: &str,
-    nprocs: usize,
-    speedup: f64,
-    elapsed: u64,
-    misses: u64,
-    local_frac: f64,
-    adherence: f64,
-    wait_cycles: u64,
-    max_error: f64,
-) -> String {
-    format!(
-        "{}\t{}\t{}\t{:.3}\t{}\t{}\t{:.1}\t{:.1}\t{}\t{:.2e}",
-        figure,
-        series,
-        nprocs,
-        speedup,
-        elapsed,
-        misses,
-        local_frac * 100.0,
-        adherence * 100.0,
-        wait_cycles,
-        max_error
-    )
-}
-
-/// Figure-driver rows as a TSV table (header + rows + trailing newline).
-pub fn figure_rows_tsv(rows: &[FigureRow]) -> String {
-    let mut out = String::from(TSV_HEADER);
-    out.push('\n');
-    for r in rows {
-        out.push_str(&tsv_line(
-            r.figure, r.series, r.nprocs, r.speedup, r.elapsed, r.misses, r.local_frac,
-            r.adherence, r.wait_cycles, r.max_error,
-        ));
-        out.push('\n');
-    }
-    out
-}
-
-/// Repro records as the same TSV table; the figure column is
-/// `app@scale`.
+/// Repro records as a TSV table (header + one line per record + trailing
+/// newline); the figure column is `app@scale`.
 pub fn records_tsv(records: &[ReproRecord]) -> String {
     let mut out = String::from(TSV_HEADER);
     out.push('\n');
     for r in records {
-        out.push_str(&tsv_line(
-            &format!("{}@{}", r.app, r.scale),
-            &r.series,
+        out.push_str(&format!(
+            "{}@{}\t{}\t{}\t{:.3}\t{}\t{}\t{:.1}\t{:.1}\t{}\t{:.2e}\n",
+            r.app,
+            r.scale,
+            r.series,
             r.nprocs,
             r.speedup,
             r.elapsed,
             r.misses(),
-            r.local_frac(),
-            r.adherence,
+            r.local_frac() * 100.0,
+            r.adherence * 100.0,
             r.wait_cycles,
-            r.max_error,
+            r.max_error
         ));
-        out.push('\n');
     }
     out
 }
@@ -100,24 +56,13 @@ fn exhibit(app: &str) -> &'static str {
     }
 }
 
-/// Distinct apps in first-appearance order.
-fn apps_of(records: &[ReproRecord]) -> Vec<String> {
+/// The distinct values of `key` over `records`, in first-appearance order
+/// (for series, the ladder order the matrix enumerates).
+fn distinct(records: &[ReproRecord], key: impl Fn(&ReproRecord) -> &String) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     for r in records {
-        if !out.contains(&r.app) {
-            out.push(r.app.clone());
-        }
-    }
-    out
-}
-
-/// Series of one app in first-appearance order (the ladder order the
-/// matrix enumerates).
-fn series_of(records: &[ReproRecord]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for r in records {
-        if !out.contains(&r.series) {
-            out.push(r.series.clone());
+        if !out.contains(key(r)) {
+            out.push(key(r).clone());
         }
     }
     out
@@ -136,7 +81,7 @@ fn find<'a>(
 /// One app's speedup table: rows = processor counts, columns = version
 /// series; cells are speedup vs the 1-processor `Base` baseline.
 pub fn speedup_table_md(app_records: &[ReproRecord]) -> String {
-    let series = series_of(app_records);
+    let series = distinct(app_records, |r| &r.series);
     let procs: BTreeSet<usize> = app_records.iter().map(|r| r.nprocs).collect();
     let mut s = String::from("| procs |");
     for col in &series {
@@ -163,7 +108,7 @@ pub fn speedup_table_md(app_records: &[ReproRecord]) -> String {
 /// misses — the quantities behind the paper's execution-time breakdown
 /// bars.
 pub fn breakdown_table_md(app_records: &[ReproRecord]) -> String {
-    let series = series_of(app_records);
+    let series = distinct(app_records, |r| &r.series);
     let procs: BTreeSet<usize> = app_records.iter().map(|r| r.nprocs).collect();
     let mut s = String::from(
         "| series | procs | refs | cache% | misses | local% | remote% |\n\
@@ -197,7 +142,7 @@ pub fn markdown_report(records: &[ReproRecord], scale: &str) -> String {
          Records: `records.json` (`cool-repro-v1`); speedups are vs the\n\
          1-processor `Base` run of each app.\n"
     );
-    for app in apps_of(records) {
+    for app in distinct(records, |r| &r.app) {
         let app_records: Vec<ReproRecord> = records
             .iter()
             .filter(|r| r.app == app)
@@ -271,21 +216,18 @@ mod tests {
 
     #[test]
     fn tsv_matches_legacy_format() {
-        let line = tsv_line(
-            "fig3_gauss",
-            "Base",
-            4,
-            1.684,
-            27725918,
-            1883748,
-            1.0,
-            0.989,
-            512,
-            0.0,
-        );
+        let mut r = rec("gauss", "Base", 4, 1.684);
+        r.elapsed = 27725918;
+        r.local_misses = 1883748;
+        r.remote_misses = 0;
+        r.adherence = 0.989;
+        r.wait_cycles = 512;
         assert_eq!(
-            line,
-            "fig3_gauss\tBase\t4\t1.684\t27725918\t1883748\t100.0\t98.9\t512\t0.00e0"
+            records_tsv(&[r]),
+            format!(
+                "{TSV_HEADER}\n\
+                 gauss@small\tBase\t4\t1.684\t27725918\t1883748\t100.0\t98.9\t512\t0.00e0\n"
+            )
         );
     }
 }

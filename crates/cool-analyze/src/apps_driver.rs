@@ -1,7 +1,8 @@
 //! Run the six case-study applications with event recording and analyze
 //! each run — the workspace's "analyze mode".
 //!
-//! Every app runs at its fast-test scale under every scheduling version on
+//! Every app runs at its small-scale inputs ([`AppScale::Small`]) on the
+//! zero-contention small machine under every scheduling version on
 //! the default schedule, plus one fault-injected schedule (stragglers,
 //! stalls, transient task failures and delayed wakeups) to shake out
 //! ordering bugs that only appear under perturbed interleavings. The
@@ -10,9 +11,9 @@
 //! `analyze_findings.json` CI gate.
 
 use apps::common::sim_config_small;
+use apps::driver::{AppScale, APP_NAMES};
 use apps::Version;
 use cool_core::FaultPlan;
-use cool_sim::SimConfig;
 
 use crate::report::{Analysis, RunFindings};
 use crate::{detect_races, analyze_locks, run_lints};
@@ -38,10 +39,6 @@ fn fault_plan() -> FaultPlan {
         .stall_server(0, 3, 5_000)
         .fail_random_tasks(3, 40)
         .delay_wakeups(2, 50)
-}
-
-fn cfg(version: Version) -> SimConfig {
-    sim_config_small(NPROCS, version).with_events()
 }
 
 /// Short stable key for a version (used in the findings file).
@@ -78,19 +75,12 @@ pub const ANALYZED_VERSIONS: [Version; 7] = [
 /// mutex retry paths are all active.
 const FAULTED_VERSION: Version = Version::AffinityDistr;
 
-/// The six apps, in report order (shared with the figure harness).
-pub const APPS: [&str; 6] = apps::driver::APP_NAMES;
-
-/// Run one app at the analyzer scale with full event recording and return
-/// its report (the stream in `obs` feeds the analysis passes).
-pub fn run_app(app: &str, version: Version, faulted: bool) -> apps::AppReport {
-    let faults = faulted.then(fault_plan);
-    apps::driver::run_app(app, cfg(version), version, faults)
-}
-
-/// Analyze one app under one version and schedule.
+/// Analyze one app under one version and schedule, recording every event
+/// of the run (the stream feeds the analysis passes).
 pub fn analyze_app(app: &str, version: Version, faulted: bool) -> RunFindings {
-    let report = run_app(app, version, faulted);
+    let faults = faulted.then(fault_plan);
+    let cfg = sim_config_small(NPROCS, version).with_events();
+    let report = apps::driver::run_app(app, cfg, AppScale::Small, version, faults);
     RunFindings {
         app: app.to_string(),
         version: version_key(version).to_string(),
@@ -106,7 +96,7 @@ pub fn analyze_app(app: &str, version: Version, faulted: bool) -> RunFindings {
 /// order, faulted last, service rows at the end).
 pub fn analyze_all() -> Vec<RunFindings> {
     let mut out = Vec::new();
-    for app in APPS {
+    for app in APP_NAMES {
         for v in ANALYZED_VERSIONS {
             out.push(analyze_app(app, v, false));
         }

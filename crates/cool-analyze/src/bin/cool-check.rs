@@ -11,16 +11,17 @@
 //! 2. **Protocol reachability** — exhaustive small-config exploration of
 //!    the directory/cache protocol (1 line, 2–4 caches) with the SWMR /
 //!    agreement / conservation invariants checked at every state.
-//! 3. **Checked-mode app sweep** — the pinned six apps run under every
-//!    scheduling version with per-transition coherence checking enabled
-//!    in the memory system; any violation fails the gate.
+//! 3. **Checked-mode app sweep** — the six apps, at their small-scale
+//!    inputs, run under every scheduling version with per-transition
+//!    coherence checking enabled in the memory system; any violation fails
+//!    the gate.
 //!
 //! Usage: `cool-check [OUTPUT_PATH]` (default `cool_check.json`). The
 //! report is byte-stable, so CI commits it and diffs regenerated output.
 //! Exit status 1 on any violation or missing reduction.
 
 use apps::common::sim_config_small;
-use apps::driver::Flags;
+use apps::driver::{AppScale, Flags};
 use apps::Version;
 use cool_analyze::apps_driver::version_key;
 use cool_analyze::{run_scenario, ScenarioResult};
@@ -131,14 +132,15 @@ struct AppRow {
     violations: u64,
 }
 
-/// Run the pinned app sweep in checked mode: every app under every
-/// scheduling version, coherence invariants validated per transition.
+/// Run the pinned app sweep in checked mode: every app, at its
+/// [`AppScale::Small`] inputs, under every scheduling version, coherence
+/// invariants validated per transition.
 fn checked_sweep() -> Vec<AppRow> {
     let mut rows = Vec::new();
     for app in apps::driver::APP_NAMES {
         for v in Version::ALL {
             let cfg = sim_config_small(NPROCS, v).with_checked();
-            let report = apps::driver::run_app(app, cfg, v, None);
+            let report = apps::driver::run_app(app, cfg, AppScale::Small, v, None);
             rows.push(AppRow {
                 app,
                 version: version_key(v),

@@ -41,7 +41,7 @@ pub mod report;
 pub mod service;
 pub mod vc;
 
-pub use apps_driver::{analyze_all, analyze_app, analyze_events, run_app, APPS};
+pub use apps_driver::{analyze_all, analyze_app, analyze_events};
 pub use check::{explore, run_scenario, ExploreStats, ScenarioResult, ScheduleViolation};
 pub use service::analyze_service;
 pub use hb::{detect_races, Race, RaceReport};

@@ -26,8 +26,9 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test -q --offline --manifest-path ledger/Cargo.toml
 
 # Analyze gate: run the happens-before / lock-order / lint passes over all
-# six apps (default + fault-injected schedules). The binary exits non-zero
-# on any race or lock cycle; the diff check makes lint findings (and any
+# six apps at their small-scale inputs (the golden TSV's), default and
+# fault-injected schedules. The binary exits non-zero on any race or lock
+# cycle; the diff check makes lint findings (and any
 # change in the analysis surface) reviewable instead of silent.
 run cargo run --release --offline -q -p cool-analyze -- analyze_findings.json
 run git diff --exit-code -- analyze_findings.json
@@ -46,8 +47,9 @@ run git diff --exit-code -- cool_check.json
 run cargo test -q --offline -p cool-analyze --test check_seeded
 
 # Observability gate: a fixed-seed traced run of one app, on the contended
-# 8-processor machine results/smoke uses, must emit a Perfetto-loadable
-# Chrome trace and the schema'd cool-metrics-v1 summary (the producer
+# 8-processor machine results/smoke uses, through the one trace exporter
+# (figures --trace-out), must emit a Perfetto-loadable Chrome trace and the
+# schema'd cool-metrics-v1 summary (the producer
 # validates the schema and that per-set rows sum exactly to the totals
 # before writing). The metrics document is byte-diffed against the
 # committed golden so any drift in scheduling, locality attribution or the
@@ -72,9 +74,11 @@ run cargo run --release --offline -q -p bench --bin cool-serve -- \
 run cargo run --release --offline -q -p bench --bin cool-serve -- \
     --check target/serve_smoke.json
 
-# Behaviour gate: the golden-run sweep must match the committed TSV
-# byte-for-byte (the workspace test run above already includes it; running
-# it by name makes a golden failure unmistakable in the log).
+# Behaviour gate: the golden-run sweep (24 repro matrix points at small
+# scale, run through the same MatrixPoint::run as every sweep) must match
+# the committed TSV byte-for-byte (the workspace test run above already
+# includes it; running it by name makes a golden failure unmistakable in
+# the log).
 run cargo test -q --offline --test golden_figures
 
 # Contention gate: the engine's resources must satisfy the M/D/1 closed
@@ -164,5 +168,19 @@ run cargo run --release --offline -q -p bench --bin repro -- \
 run cmp results/adaptive/records.json target/repro-adaptive/records.json
 run cmp results/adaptive/tables.md target/repro-adaptive/tables.md
 run cmp results/adaptive/tables.tsv target/repro-adaptive/tables.tsv
+
+# Full reproduction gate: the committed paper matrix (6 apps × version
+# ladders × 1–32 processors at full scale, Panel Cholesky to 24; 102
+# points) re-swept uncached through the pool and drift-checked against
+# results/full within the same 2% band; records and rendered tables must
+# match byte-for-byte. Every figure table is a slice of this matrix, so the
+# step pins the matrix builder and the full-scale inputs.
+rm -rf target/repro-full
+run cargo run --release --offline -q -p bench --bin repro -- \
+    --full --no-cache --out target/repro-full \
+    --check results/full/records.json --tolerance 0.02
+run cmp results/full/records.json target/repro-full/records.json
+run cmp results/full/tables.md target/repro-full/tables.md
+run cmp results/full/tables.tsv target/repro-full/tables.tsv
 
 echo "CI OK"

@@ -99,7 +99,7 @@ fn inert_adaptive() -> AdaptiveConfig {
 }
 
 fn run_deep(app: &str, v: Version, cfg: SimConfig) -> (u64, u64, u64) {
-    let rep = apps::driver::run_app_scaled(app, cfg, Scale::Deep.app_scale(), v);
+    let rep = apps::driver::run_app(app, cfg, Scale::Deep.app_scale(), v, None);
     assert!(rep.max_error < 1e-6, "{app} numerically wrong");
     (rep.run.elapsed, rep.run.mem.refs, rep.run.mem.remote_misses)
 }

@@ -1,7 +1,8 @@
 //! Integration tests asserting the *qualitative shapes* of the paper's
 //! figures at test scale: who wins, what improves, and that no scheduling
-//! version ever changes a numeric result. Absolute magnitudes are checked by
-//! the `figures` binary and recorded in EXPERIMENTS.md.
+//! version ever changes a numeric result. Absolute magnitudes come from the
+//! `repro` matrix (committed under `results/full`) and are recorded in
+//! EXPERIMENTS.md.
 
 use cool_repro::apps::{self, Version};
 use cool_repro::cool_sim::{MachineConfig, SimConfig};
