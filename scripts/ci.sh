@@ -174,7 +174,7 @@ run cmp results/adaptive/tables.tsv target/repro-adaptive/tables.tsv
 # points) re-swept uncached through the pool and drift-checked against
 # results/full within the same 2% band; records and rendered tables must
 # match byte-for-byte. Every figure table is a slice of this matrix, so the
-# step pins the matrix builder and the full-scale inputs.
+# step pins build_matrix and the full-scale inputs.
 rm -rf target/repro-full
 run cargo run --release --offline -q -p bench --bin repro -- \
     --full --no-cache --out target/repro-full \
