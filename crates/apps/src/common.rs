@@ -154,12 +154,6 @@ pub fn apply_version(mut cfg: SimConfig, version: Version) -> SimConfig {
     cfg
 }
 
-/// Simulator configuration for an app run: DASH-like machine at the given
-/// processor count, with the version's steal policy.
-pub fn sim_config(nprocs: usize, version: Version) -> SimConfig {
-    apply_version(SimConfig::new(MachineConfig::dash(nprocs)), version)
-}
-
 /// Scaled-down machine for fast tests.
 pub fn sim_config_small(nprocs: usize, version: Version) -> SimConfig {
     apply_version(SimConfig::new(MachineConfig::dash_small(nprocs)), version)

@@ -28,6 +28,7 @@
 
 use cool_core::FaultPlan;
 use cool_sim::SimConfig;
+use workloads::circuit::CircuitParams;
 
 use crate::common::AppReport;
 use crate::Version;
@@ -103,55 +104,52 @@ pub fn ocean_params(scale: AppScale) -> workloads::ocean::OceanParams {
     }
 }
 
-/// LocusRoute inputs at a given scale.
-pub fn locus_params(scale: AppScale) -> crate::locusroute::LocusParams {
-    use workloads::circuit::{Circuit, CircuitParams};
-    let circuit = match scale {
-        AppScale::Small => Circuit::generate(CircuitParams {
-            width: 64,
-            height: 16,
-            regions: 8,
-            wires_per_region: 16,
-            crossing_fraction: 0.1,
-            multi_pin_fraction: 0.15,
-            seed: 11,
-        }),
+/// LocusRoute's circuit generator inputs at a given scale.
+fn circuit_params(scale: AppScale) -> CircuitParams {
+    let (width, height, regions, wires_per_region) = match scale {
+        AppScale::Small => (64, 16, 8, 16),
         // 256×128 cells × 8 B = 256 KB CostArray; 32 regions of dense local
         // wires — the paper's synthetic dense-wire input.
-        AppScale::Full => Circuit::generate(CircuitParams {
-            width: 256,
-            height: 128,
-            regions: 32,
-            wires_per_region: 48,
-            crossing_fraction: 0.1,
-            multi_pin_fraction: 0.15,
-            seed: 11,
-        }),
-        AppScale::Deep => Circuit::generate(CircuitParams {
-            width: 128,
-            height: 64,
-            regions: 32,
-            wires_per_region: 32,
-            crossing_fraction: 0.1,
-            multi_pin_fraction: 0.15,
-            seed: 11,
-        }),
+        AppScale::Full => (256, 128, 32, 48),
+        AppScale::Deep => (128, 64, 32, 32),
     };
-    crate::locusroute::LocusParams {
-        circuit,
-        iterations: 2,
+    CircuitParams {
+        width,
+        height,
+        regions,
+        wires_per_region,
+        crossing_fraction: 0.1,
+        multi_pin_fraction: 0.15,
+        seed: 11,
     }
 }
 
-/// Panel Cholesky problem at a given scale (symbolic analysis included).
-pub fn panel_problem(scale: AppScale) -> crate::panel_cholesky::PanelProblem {
-    let (k, width) = match scale {
+/// Routing passes of every LocusRoute run.
+const LOCUS_ITERATIONS: usize = 2;
+
+/// LocusRoute inputs at a given scale.
+pub fn locus_params(scale: AppScale) -> crate::locusroute::LocusParams {
+    crate::locusroute::LocusParams {
+        circuit: workloads::circuit::Circuit::generate(circuit_params(scale)),
+        iterations: LOCUS_ITERATIONS,
+    }
+}
+
+/// Panel Cholesky's grid-Laplacian side and maximum panel width at a
+/// given scale.
+fn panel_grid(scale: AppScale) -> (usize, usize) {
+    match scale {
         AppScale::Small => (8, 4),
         // 40×40 grid Laplacian: n = 1600, ample fill — the factor exceeds
         // the L2 cache like the paper's sparse matrices did.
         AppScale::Full => (40, 8),
         AppScale::Deep => (20, 8),
-    };
+    }
+}
+
+/// Panel Cholesky problem at a given scale (symbolic analysis included).
+pub fn panel_problem(scale: AppScale) -> crate::panel_cholesky::PanelProblem {
+    let (k, width) = panel_grid(scale);
     crate::panel_cholesky::PanelProblem::analyse(&crate::panel_cholesky::PanelParams {
         matrix: workloads::matrices::grid_laplacian(k),
         max_panel_width: width,
@@ -247,12 +245,8 @@ pub fn params_fingerprint(app: &str, scale: AppScale) -> String {
                 p.n, p.num_grids, p.regions, p.sweeps, p.seed
             )
         }
-        ("locusroute", AppScale::Small) => "w64 h16 r8 wpr16 cf0.1 mpf0.15 seed11 it2".into(),
-        ("locusroute", AppScale::Full) => "w256 h128 r32 wpr48 cf0.1 mpf0.15 seed11 it2".into(),
-        ("locusroute", AppScale::Deep) => "w128 h64 r32 wpr32 cf0.1 mpf0.15 seed11 it2".into(),
-        ("panel_cholesky", AppScale::Small) => "lap8 w4".into(),
-        ("panel_cholesky", AppScale::Full) => "lap40 w8".into(),
-        ("panel_cholesky", AppScale::Deep) => "lap20 w8".into(),
+        ("locusroute", _) => locus_key(&circuit_params(scale), LOCUS_ITERATIONS),
+        ("panel_cholesky", _) => panel_key(panel_grid(scale)),
         ("block_cholesky", _) => {
             let p = block_params(scale);
             format!("n{} b{}", p.n, p.block)
@@ -271,6 +265,25 @@ pub fn params_fingerprint(app: &str, scale: AppScale) -> String {
         _ => panic!("unknown app {app:?} (expected one of {APP_NAMES:?})"),
     };
     format!("{app}@{} {body}", scale.name())
+}
+
+/// LocusRoute's fingerprint body: every generator input and the pass count.
+fn locus_key(c: &CircuitParams, iterations: usize) -> String {
+    format!(
+        "w{} h{} r{} wpr{} cf{} mpf{} seed{} it{iterations}",
+        c.width,
+        c.height,
+        c.regions,
+        c.wires_per_region,
+        c.crossing_fraction,
+        c.multi_pin_fraction,
+        c.seed
+    )
+}
+
+/// Panel Cholesky's fingerprint body: the grid side and panel width.
+fn panel_key((k, width): (usize, usize)) -> String {
+    format!("lap{k} w{width}")
 }
 
 /// The scheduling-version ladder the paper presents for each app, in figure
@@ -512,6 +525,55 @@ mod tests {
         assert_eq!(parse(&["--out"]), Err("--out takes a value".into()));
         assert_eq!(parse(&["--out", "--smoke"]), Err("--out takes a value".into()));
         assert_eq!(parse(&["a", "b"]), Err("unexpected argument b".into()));
+    }
+
+    /// The memo keys of the committed records hash these strings, so they
+    /// must not change while the inputs they name stay the same.
+    #[test]
+    fn params_fingerprints_are_pinned() {
+        let pinned = [
+            "barnes_hut@small n128 g16 t2 theta0.6 dt0.01 seed4",
+            "barnes_hut@full n2048 g64 t3 theta0.6 dt0.01 seed4",
+            "barnes_hut@deep n512 g64 t2 theta0.6 dt0.01 seed4",
+            "block_cholesky@small n48 b8",
+            "block_cholesky@full n192 b16",
+            "block_cholesky@deep n96 b8",
+            "gauss@small n32 seed7",
+            "gauss@full n192 seed7",
+            "gauss@deep n64 seed7",
+            "locusroute@small w64 h16 r8 wpr16 cf0.1 mpf0.15 seed11 it2",
+            "locusroute@full w256 h128 r32 wpr48 cf0.1 mpf0.15 seed11 it2",
+            "locusroute@deep w128 h64 r32 wpr32 cf0.1 mpf0.15 seed11 it2",
+            "ocean@small n24 g4 r8 s2 seed3",
+            "ocean@full n128 g25 r32 s3 seed3",
+            "ocean@deep n64 g8 r32 s2 seed3",
+            "panel_cholesky@small lap8 w4",
+            "panel_cholesky@full lap40 w8",
+            "panel_cholesky@deep lap20 w8",
+        ];
+        let scales = [AppScale::Small, AppScale::Full, AppScale::Deep];
+        let got: Vec<String> = APP_NAMES
+            .iter()
+            .flat_map(|app| scales.map(|scale| params_fingerprint(app, scale)))
+            .collect();
+        assert_eq!(got, pinned);
+    }
+
+    #[test]
+    fn changed_inputs_change_the_fingerprint() {
+        for scale in [AppScale::Small, AppScale::Full, AppScale::Deep] {
+            let c = circuit_params(scale);
+            let moved = CircuitParams {
+                wires_per_region: c.wires_per_region + 4,
+                ..c
+            };
+            let it = LOCUS_ITERATIONS;
+            assert_ne!(locus_key(&moved, it), locus_key(&c, it));
+            assert_ne!(locus_key(&c, it + 1), locus_key(&c, it));
+            let (k, width) = panel_grid(scale);
+            assert_ne!(panel_key((k + 1, width)), panel_key((k, width)));
+            assert_ne!(panel_key((k, width + 1)), panel_key((k, width)));
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! stolen set re-inserted by a thief lands contiguously at the front of
 //! service order even when it collides with the thief's own work.
 //!
+//! Each slot counts its [`AffinityKind::Object`] entries, so a thief
+//! classifies a uniform slot (no such entry, or nothing else) in O(1); only
+//! a slot mixing object-affinity sets with movable ones is scanned.
+//!
 //! The structure is generic over the task payload `T` so the simulated and
 //! the threaded runtime can queue their own task representations.
 
@@ -59,6 +63,8 @@ struct Slot<T> {
     next: usize,
     /// Whether this slot is currently on the non-empty list.
     linked: bool,
+    /// How many queued entries have [`AffinityKind::Object`].
+    objects: usize,
 }
 
 const NIL: usize = usize::MAX;
@@ -125,6 +131,7 @@ impl<T> ServerQueues<T> {
                 prev: NIL,
                 next: NIL,
                 linked: false,
+                objects: 0,
             });
         }
         ServerQueues {
@@ -161,6 +168,7 @@ impl<T> ServerQueues<T> {
     /// Enqueue a task carrying an affinity token into its slot.
     pub fn push_affinity(&mut self, token: ObjRef, kind: AffinityKind, payload: T) -> SlotUpdate {
         let idx = self.slot_of(token);
+        self.slots[idx].objects += usize::from(kind == AffinityKind::Object);
         self.slots[idx].queue.push_back(Entry {
             token: Some(token),
             kind,
@@ -247,6 +255,7 @@ impl<T> ServerQueues<T> {
                 .queue
                 .pop_front()
                 .expect("linked slot must be non-empty");
+            self.slots[idx].objects -= usize::from(entry.kind == AffinityKind::Object);
             let drained = self.slots[idx].queue.is_empty();
             if drained {
                 self.unlink(idx);
@@ -295,25 +304,25 @@ impl<T> ServerQueues<T> {
     /// Find the tail-most task-affinity set in slot `idx` whose every task
     /// is safe to move, scanning candidate sets from the back of the queue
     /// (the work the victim will reach last). Returns its token.
+    ///
+    /// A slot without object-affinity entries answers with its tail entry's
+    /// set, and a slot of nothing else answers none, both in O(1); only a
+    /// mixed slot is scanned.
     fn stealable_set_in(&self, idx: usize) -> Option<ObjRef> {
-        let queue = &self.slots[idx].queue;
-        let mut rejected: Vec<ObjRef> = Vec::new();
-        for entry in queue.iter().rev() {
-            let tok = entry.token?;
-            if rejected.contains(&tok) {
-                continue;
-            }
-            let prefers_home = queue
-                .iter()
-                .filter(|e| e.token == Some(tok))
-                .any(|e| matches!(e.kind, AffinityKind::Object));
-            if prefers_home {
-                rejected.push(tok);
-            } else {
-                return Some(tok);
-            }
+        let Slot { queue, objects, .. } = &self.slots[idx];
+        if *objects == 0 {
+            return queue.back()?.token;
         }
-        None
+        if *objects == queue.len() {
+            return None;
+        }
+        let is_object = |e: &Entry<T>| e.kind == AffinityKind::Object;
+        queue
+            .iter()
+            .rev()
+            .filter(|e| !is_object(e))
+            .find(|cand| !queue.iter().any(|e| e.token == cand.token && is_object(e)))?
+            .token
     }
 
     /// Attempt to steal work for an idle server.
@@ -391,6 +400,7 @@ impl<T> ServerQueues<T> {
                     .queue
                     .pop_back()
                     .expect("linked slot must be non-empty");
+                self.slots[idx].objects -= usize::from(entry.kind == AffinityKind::Object);
                 self.len -= 1;
                 if self.slots[idx].queue.is_empty() {
                     self.unlink(idx);
@@ -427,8 +437,9 @@ impl<T> ServerQueues<T> {
     }
 
     /// Internal consistency check used by tests: the linked list threads
-    /// exactly the non-empty slots, in both directions, `len` matches, and
-    /// every queued entry sits in the slot its token hashes to.
+    /// exactly the non-empty slots, in both directions, `len` matches,
+    /// every queued entry sits in the slot its token hashes to, and each
+    /// slot's object count matches its entries.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut forward = Vec::new();
@@ -458,6 +469,17 @@ impl<T> ServerQueues<T> {
             }
             if !slot.linked && !slot.queue.is_empty() {
                 return Err(format!("slot {i} non-empty but unlinked"));
+            }
+            let objects = slot
+                .queue
+                .iter()
+                .filter(|e| e.kind == AffinityKind::Object)
+                .count();
+            if slot.objects != objects {
+                return Err(format!(
+                    "slot {i} counts {} object entries, holds {objects}",
+                    slot.objects
+                ));
             }
             for entry in &slot.queue {
                 match entry.token {
@@ -543,9 +565,128 @@ impl<T> ServerQueues<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q() -> ServerQueues<u32> {
         ServerQueues::new(8)
+    }
+
+    /// The classification the object counts shortcut: scan the slot from
+    /// its tail and take the first set none of whose entries has object
+    /// affinity.
+    fn reference_stealable<T>(queue: &VecDeque<Entry<T>>) -> Option<ObjRef> {
+        queue
+            .iter()
+            .rev()
+            .map(|e| e.token.expect("slot entries carry tokens"))
+            .find(|&tok| {
+                !queue
+                    .iter()
+                    .any(|e| e.token == Some(tok) && e.kind == AffinityKind::Object)
+            })
+    }
+
+    /// The `(token, tasks)` batch `steal_with` must return, derived from
+    /// [`reference_stealable`].
+    fn reference_steal(
+        q: &ServerQueues<u32>,
+        avoid_object_affinity: bool,
+        whole_sets: bool,
+    ) -> Option<(Option<ObjRef>, Vec<u32>)> {
+        let mut idx = q.tail;
+        while idx != NIL {
+            let queue = &q.slots[idx].queue;
+            if let Some(tok) = reference_stealable(queue) {
+                let mut set = queue
+                    .iter()
+                    .filter(|e| e.token == Some(tok))
+                    .map(|e| e.payload);
+                return Some(if whole_sets {
+                    (Some(tok), set.collect())
+                } else {
+                    (None, vec![set.next_back().expect("set is non-empty")])
+                });
+            }
+            if !avoid_object_affinity {
+                return Some((None, vec![queue.back().expect("linked slot").payload]));
+            }
+            idx = q.slots[idx].prev;
+        }
+        q.default_queue.back().map(|e| (None, vec![e.payload]))
+    }
+
+    const KINDS: [AffinityKind; 4] = [
+        AffinityKind::None,
+        AffinityKind::Object,
+        AffinityKind::Task,
+        AffinityKind::Processor,
+    ];
+
+    proptest! {
+        /// Random pushes of every kind, pops, polite and last-resort steals
+        /// (whole-set and single) and stolen-batch pushes between two
+        /// servers, on arrays of 1–4 slots so sets collide: every slot's
+        /// classification, the tail class and every steal agree with the
+        /// reference scan, and the object counts stay exact.
+        #[test]
+        fn classification_matches_the_reference_scan(
+            array_size in 1usize..5,
+            ops in prop::collection::vec(
+                (0u8..6, 0u64..6, 0usize..4, any::<bool>(), any::<bool>()),
+                1..300,
+            ),
+        ) {
+            let mut qs = [ServerQueues::new(array_size), ServerQueues::new(array_size)];
+            let mut next = 0u32;
+            for (i, (op, token, kind, flip, whole)) in ops.into_iter().enumerate() {
+                let (victim, thief) = if flip { (1, 0) } else { (0, 1) };
+                let q = &mut qs[victim];
+                match op {
+                    0 | 1 => {
+                        q.push_affinity(ObjRef(token), KINDS[kind], next);
+                        next += 1;
+                    }
+                    2 => {
+                        q.push_default(KINDS[kind], next);
+                        next += 1;
+                    }
+                    3 => {
+                        q.pop_local_info();
+                    }
+                    _ => {
+                        let avoid = op == 4;
+                        let expected = reference_steal(q, avoid, whole);
+                        let got = q.steal_with(avoid, whole);
+                        prop_assert_eq!(
+                            got.as_ref().map(|b| (b.token, b.tasks.clone())),
+                            expected,
+                            "op {}", i
+                        );
+                        if let Some(batch) = got {
+                            qs[thief].push_stolen(batch);
+                        }
+                    }
+                }
+                for q in &qs {
+                    q.check_invariants().map_err(TestCaseError::fail)?;
+                    for idx in 0..q.array_size() {
+                        prop_assert_eq!(
+                            q.stealable_set_in(idx),
+                            reference_stealable(&q.slots[idx].queue),
+                            "op {} slot {}", i, idx
+                        );
+                    }
+                    let class = (q.tail != NIL).then(|| {
+                        if reference_stealable(&q.slots[q.tail].queue).is_some() {
+                            SlotClass::Stealable
+                        } else {
+                            SlotClass::PrefersHome
+                        }
+                    });
+                    prop_assert_eq!(q.tail_slot_class(), class, "op {}", i);
+                }
+            }
+        }
     }
 
     #[test]

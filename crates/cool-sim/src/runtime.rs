@@ -10,7 +10,7 @@ use cool_core::{
 use dash_sim::{Machine, MachineConfig};
 
 use crate::report::RunReport;
-use crate::sched::{BusyQueues, NextActor};
+use crate::sched::{BusyQueues, NextActor, Slab};
 use crate::task::{Task, TaskCtx};
 
 /// An internal scheduling invariant was violated (the simulator tried to
@@ -215,8 +215,11 @@ pub struct SimRuntime {
     /// Precomputed per-thief victim orders with common-ancestor levels
     /// (`steal_order` allocated on the idle/steal hot path).
     victims: VictimOrders,
-    /// Every server's queues, with the set of servers that have work.
-    queues: BusyQueues<SimTask>,
+    /// Every server's queues, with the set of servers that have work. The
+    /// queues hold slots of `tasks`, where each queued task lives until it
+    /// is dispatched.
+    queues: BusyQueues<u32>,
+    tasks: Slab<SimTask>,
     clocks: Vec<u64>,
     /// Which server acts next: a tournament tree over `clocks`.
     next_actor: NextActor,
@@ -269,6 +272,7 @@ impl SimRuntime {
             topology: cfg.machine.topology(),
             victims: cfg.machine.topology().victim_orders(),
             queues: BusyQueues::new(n, cfg.affinity_slots),
+            tasks: Slab::new(),
             next_actor: NextActor::new(&clocks),
             clocks,
             stats: SchedStats::default(),
@@ -453,9 +457,10 @@ impl SimRuntime {
     /// when a new task-affinity set starts queueing.
     fn push_local(&mut self, p: ProcId, kind: AffinityKind, st: SimTask) {
         let token = st.task.affinity.queue_token();
+        let slot = self.tasks.insert(st);
         match token {
             Some(tok) => {
-                let up = self.queues.push_affinity(p.index(), tok, kind, st);
+                let up = self.queues.push_affinity(p.index(), tok, kind, slot);
                 if up.newly_linked {
                     if let Some(slot) = up.slot {
                         self.emit(Event::SlotLink {
@@ -467,7 +472,7 @@ impl SimRuntime {
                     }
                 }
             }
-            None => self.queues.push_default(p.index(), kind, st),
+            None => self.queues.push_default(p.index(), kind, slot),
         }
     }
 
@@ -559,7 +564,7 @@ impl SimRuntime {
                 });
             }
         }
-        let (kind, mut st) = (popped.kind, popped.payload);
+        let (kind, mut st) = (popped.kind, self.tasks.take(popped.payload));
         self.clocks[pi] += self.cfg.machine.dispatch_overhead;
         self.machine.monitor_mut().proc_mut(pi).overhead_cycles +=
             self.cfg.machine.dispatch_overhead;

@@ -1,9 +1,10 @@
-//! Host-side bookkeeping for the event loop: which server acts next, and
-//! which servers have queued work.
+//! Host-side bookkeeping for the event loop: which server acts next, which
+//! servers have queued work, and where queued tasks live.
 //!
-//! Both structures only make the simulator cheaper to run. They answer the
+//! These structures only make the simulator cheaper to run. They answer the
 //! same questions the event loop used to answer by scanning every server,
-//! so no simulated cycle depends on them.
+//! or hold what the queues used to hold inline, so no simulated cycle
+//! depends on them.
 
 use cool_core::{AffinityKind, ObjRef, Popped, ServerQueues, SlotUpdate, StolenBatch};
 
@@ -59,6 +60,47 @@ impl NextActor {
             i /= 2;
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
         }
+    }
+}
+
+/// Storage for queued tasks, so the queues move 4-byte slot numbers
+/// instead of whole tasks.
+///
+/// A slot holds `Some` from [`Slab::insert`] until [`Slab::take`]; freed
+/// slots are reused most recent first.
+pub(crate) struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    /// An empty slab.
+    pub(crate) fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Store `item` and return its slot.
+    pub(crate) fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = Some(item);
+                i
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("fewer than 2^32 queued tasks")
+            }
+        }
+    }
+
+    /// Remove and return the item in slot `i`, freeing the slot.
+    pub(crate) fn take(&mut self, i: u32) -> T {
+        let item = self.items[i as usize].take().expect("slot holds an item");
+        self.free.push(i);
+        item
     }
 }
 
@@ -170,6 +212,21 @@ impl<T> BusyQueues<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn slab_reuses_freed_slots_and_returns_what_was_stored() {
+        let mut slab = Slab::new();
+        assert_eq!(
+            (slab.insert("a"), slab.insert("b"), slab.insert("c")),
+            (0, 1, 2)
+        );
+        assert_eq!(slab.take(1), "b");
+        assert_eq!(slab.take(0), "a");
+        assert_eq!(slab.insert("d"), 0, "most recently freed slot first");
+        assert_eq!(slab.insert("e"), 1);
+        assert_eq!(slab.insert("f"), 3);
+        assert_eq!((slab.take(2), slab.take(0), slab.take(1)), ("c", "d", "e"));
+    }
 
     /// The linear scan the tree replaces: earliest clock, ties to the
     /// lowest id.

@@ -401,7 +401,16 @@ impl MachineConfig {
     /// On a classic machine a crossing is exactly the home cluster's link,
     /// preserving the original hop chain byte-for-byte.
     pub fn net_path(&self, from: ClusterId, to: ClusterId, buf: &mut [usize; MAX_TOPO_LEVELS]) -> usize {
-        let d = self.cluster_distance(from, to);
+        self.net_path_at(self.cluster_distance(from, to), to, buf)
+    }
+
+    /// [`MachineConfig::net_path`] for clusters `d` apart.
+    pub(crate) fn net_path_at(
+        &self,
+        d: usize,
+        to: ClusterId,
+        buf: &mut [usize; MAX_TOPO_LEVELS],
+    ) -> usize {
         if d == 0 {
             return 0;
         }

@@ -134,6 +134,11 @@ pub struct Machine {
     engine: Option<Engine>,
     /// Per-processor last-line/last-page lookaside (see [`Lookaside`]).
     lookaside: Vec<Lookaside>,
+    /// `cfg.cluster_of(p)` at index `p`, so the miss path divides nothing.
+    cluster_of: Vec<ClusterId>,
+    /// `cfg.cluster_distance(a, b)` at index `a * nclusters + b`.
+    distance: Vec<u8>,
+    nclusters: usize,
     /// `log2(line_bytes)` when the line size is a power of two (it is for
     /// every DASH configuration), so the two address→line divisions on the
     /// per-reference path compile to shifts. Zero-sentinel otherwise.
@@ -159,6 +164,11 @@ impl Machine {
             );
         }
         let caches = (0..cfg.nprocs).map(|_| ProcCache::new(cfg.l1, cfg.l2)).collect();
+        let nclusters = cfg.nclusters();
+        let distance = (0..nclusters * nclusters)
+            .map(|i| cfg.cluster_distance(ClusterId(i / nclusters), ClusterId(i % nclusters)))
+            .map(|d| u8::try_from(d).expect("tree depth fits u8"))
+            .collect();
         Machine {
             caches,
             space: AddressSpace::with_procs_per_node(
@@ -173,6 +183,9 @@ impl Machine {
                 .contention
                 .map(|c| Engine::with_nets(c, cfg.nclusters(), cfg.nnet())),
             lookaside: vec![Lookaside::EMPTY; cfg.nprocs],
+            cluster_of: (0..cfg.nprocs).map(|p| cfg.cluster_of(ProcId(p))).collect(),
+            distance,
+            nclusters,
             line_shift: if cfg.l1.line_bytes.is_power_of_two() {
                 cfg.l1.line_bytes.trailing_zeros()
             } else {
@@ -193,6 +206,12 @@ impl Machine {
         } else {
             addr / self.cfg.l1.line_bytes
         }
+    }
+
+    /// [`MachineConfig::cluster_distance`], read from the table.
+    #[inline]
+    fn distance(&self, a: ClusterId, b: ClusterId) -> usize {
+        usize::from(self.distance[a.index() * self.nclusters + b.index()])
     }
 
     /// Machine configuration.
@@ -405,7 +424,7 @@ impl Machine {
             if self.engine.is_some() {
                 // The fill takes a clean miss's route at issue, reserving
                 // the shared resources in issue order; its wait is hidden.
-                self.contend(self.cfg.cluster_of(p), line, None, now + cycles);
+                self.contend(self.cluster_of[pi], line, None, now + cycles);
             } else if self.cfg.mem_occupancy > 0 {
                 let module = self.space.home(ObjRef(addr)).index();
                 let busy = &mut self.node_busy[module];
@@ -580,12 +599,11 @@ impl Machine {
         now: u64,
     ) -> u64 {
         let pi = p.index();
-        let my_cluster = self.cfg.cluster_of(p);
+        let my_cluster = self.cluster_of[pi];
         // Data comes from the dirty owner's cache when one exists, otherwise
         // from the home memory of the line's page.
         let supplier_cluster = if from_dirty {
-            self.cfg
-                .cluster_of(ProcId(dirty_owner.expect("dirty service implies owner")))
+            self.cluster_of[dirty_owner.expect("dirty service implies owner")]
         } else {
             let addr = line * self.cfg.l1.line_bytes;
             cool_core::ClusterId(self.space.home(ObjRef(addr)).index())
@@ -593,7 +611,7 @@ impl Machine {
         // Distance 0 is the local cluster; beyond it the per-level latency
         // table applies (a classic machine has the single uniform distance 1,
         // charging exactly `remote_mem` as before).
-        let dist = self.cfg.cluster_distance(my_cluster, supplier_cluster);
+        let dist = self.distance(my_cluster, supplier_cluster);
         let local = dist == 0;
         let mut cycles = self.cfg.mem_latency(dist);
         if from_dirty {
@@ -673,14 +691,16 @@ impl Machine {
             n += 1;
         };
         let mut path = [0usize; MAX_TOPO_LEVELS];
-        let np = self.cfg.net_path(rc, home, &mut path);
+        let d = self.distance(rc, home);
+        let np = self.cfg.net_path_at(d, home, &mut path);
         for &link in &path[..np] {
             push(ResourceKind::Net, link);
         }
         push(ResourceKind::Dir, home.index());
         match owner {
             Some(oc) => {
-                let np = self.cfg.net_path(home, oc, &mut path);
+                let d = self.distance(home, oc);
+                let np = self.cfg.net_path_at(d, oc, &mut path);
                 for &link in &path[..np] {
                     push(ResourceKind::Net, link);
                 }
@@ -1356,6 +1376,29 @@ mod tests {
         assert_eq!(m.transitions_checked(), 0);
         assert_eq!(m.check_full(), 0);
         assert!(m.violations().is_empty());
+    }
+
+    #[test]
+    fn cluster_tables_match_the_config_definitions() {
+        // The last two leave their last cluster partial: 10 processors at
+        // 4 per cluster, and 44 at 8 on the deep tree.
+        for cfg in [
+            MachineConfig::dash(32),
+            MachineConfig::dash_small(8),
+            MachineConfig::deep_small(64),
+            MachineConfig::dash_small(10),
+            MachineConfig::deep_small(44),
+        ] {
+            let m = Machine::new(cfg);
+            for p in 0..cfg.nprocs {
+                assert_eq!(m.cluster_of[p], cfg.cluster_of(ProcId(p)), "proc {p}");
+            }
+            for a in (0..cfg.nclusters()).map(ClusterId) {
+                for b in (0..cfg.nclusters()).map(ClusterId) {
+                    assert_eq!(m.distance(a, b), cfg.cluster_distance(a, b), "{a:?}->{b:?}");
+                }
+            }
+        }
     }
 
     fn contended_machine(nprocs: usize) -> Machine {

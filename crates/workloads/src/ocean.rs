@@ -44,12 +44,17 @@ pub fn initial_grids(p: &OceanParams) -> Vec<Vec<f64>> {
         .map(|g| {
             let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
             let amp: f64 = rng.gen_range(0.5..2.0);
-            (0..p.n * p.n)
-                .map(|i| {
-                    let (r, c) = (i / p.n, i % p.n);
-                    amp * ((r as f64 * 0.3 + phase).sin() + (c as f64 * 0.2 + g as f64).cos())
-                })
-                .collect()
+            // Cell (r, c) is `amp * (row(r) + col(c))`, so each term is
+            // evaluated once per row or column instead of once per cell.
+            let cols: Vec<f64> = (0..p.n)
+                .map(|c| (c as f64 * 0.2 + g as f64).cos())
+                .collect();
+            let mut grid = Vec::with_capacity(p.n * p.n);
+            for r in 0..p.n {
+                let row = (r as f64 * 0.3 + phase).sin();
+                grid.extend(cols.iter().map(|&col| amp * (row + col)));
+            }
+            grid
         })
         .collect()
 }
@@ -80,6 +85,47 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
         assert!(a.iter().all(|g| g.len() == 256));
+    }
+
+    /// The per-cell formula the generator evaluated before it hoisted the
+    /// row and column terms.
+    fn per_cell_grids(p: &OceanParams) -> Vec<Vec<f64>> {
+        let mut rng = SmallRng::seed_from_u64(p.seed);
+        (0..p.num_grids)
+            .map(|g| {
+                let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                let amp: f64 = rng.gen_range(0.5..2.0);
+                (0..p.n * p.n)
+                    .map(|i| {
+                        let (r, c) = (i / p.n, i % p.n);
+                        amp * ((r as f64 * 0.3 + phase).sin() + (c as f64 * 0.2 + g as f64).cos())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grids_match_the_per_cell_formula_bit_for_bit() {
+        for (n, num_grids, seed) in [(1, 1, 0), (7, 3, 1), (24, 4, 3), (64, 8, 3), (33, 25, 99)] {
+            let p = OceanParams {
+                n,
+                num_grids,
+                seed,
+                ..Default::default()
+            };
+            let bits = |grids: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+                grids
+                    .into_iter()
+                    .map(|g| g.into_iter().map(f64::to_bits).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(initial_grids(&p)),
+                bits(per_cell_grids(&p)),
+                "n={n} grids={num_grids} seed={seed}"
+            );
+        }
     }
 
     #[test]

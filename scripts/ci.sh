@@ -132,6 +132,25 @@ run cmp results/smoke/records.json target/repro-smoke/records.json
 run cmp results/smoke/tables.md target/repro-smoke/tables.md
 run cmp results/smoke/tables.tsv target/repro-smoke/tables.tsv
 
+# Memo gate: every other sweep here runs uncached, so the cached read path
+# is checked on its own. The smoke sweep runs twice against a fresh cache
+# directory: the first run fills it, the second must serve all 8 points
+# from it, and both must write the committed records and tables byte for
+# byte.
+rm -rf target/ci-memo target/repro-memo-1 target/repro-memo-2
+run cargo run --release --offline -q -p bench --bin repro -- \
+    --smoke --cache-dir target/ci-memo --out target/repro-memo-1
+run cargo run --release --offline -q -p bench --bin repro -- \
+    --smoke --cache-dir target/ci-memo --out target/repro-memo-2 \
+    2>target/repro-memo-2.log || { cat target/repro-memo-2.log; exit 1; }
+cat target/repro-memo-2.log
+run grep -q "(8 memoized, 0 simulated)" target/repro-memo-2.log
+for pass in 1 2; do
+    for f in records.json tables.md tables.tsv; do
+        run cmp "results/smoke/$f" "target/repro-memo-$pass/$f"
+    done
+done
+
 # Topology gate: the N-level tree laws (steal order is a permutation,
 # nearest-domain-first, 2-level trees byte-match the original scan), the
 # partial-last-cluster and pinned-fingerprint regressions, the forged-deep
