@@ -586,12 +586,6 @@ fn verify(params: &BhParams, result: &[Body]) -> f64 {
     err
 }
 
-/// Serial baseline cycles (1-processor Base run).
-pub fn serial_cycles(cfg_for_one: SimConfig, params: &BhParams) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, params, Version::Base).run.elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -297,12 +297,6 @@ fn spawn_gemm(ctx: &mut TaskCtx<'_>, i: usize, j: usize, k: usize, env: &Rc<Env>
     ctx.spawn(Task::new(body).with_affinity(aff).with_mutex(dst));
 }
 
-/// Serial baseline cycles (1-processor Base run).
-pub fn serial_cycles(cfg_for_one: SimConfig, params: &BlockParams) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, params, Version::Base).run.elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

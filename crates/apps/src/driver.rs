@@ -232,10 +232,10 @@ pub fn run_app(
 }
 
 /// A short, stable fingerprint of one app's generator inputs at a scale.
-/// Feeds the `cool-repro` memoization key: any change to the pinned
-/// parameters above must change this string (and thereby every affected
-/// config hash), so stale cached records can never satisfy a mutated
-/// matrix point.
+/// It opens every `cool-repro` record's config string, the record's
+/// provenance: any change to the pinned parameters above must change this
+/// string (and thereby every affected record's `config` and `hash`), so a
+/// committed record always names the inputs that produced it.
 pub fn params_fingerprint(app: &str, scale: AppScale) -> String {
     let body = match (app, scale) {
         ("ocean", _) => {
@@ -527,8 +527,9 @@ mod tests {
         assert_eq!(parse(&["a", "b"]), Err("unexpected argument b".into()));
     }
 
-    /// The memo keys of the committed records hash these strings, so they
-    /// must not change while the inputs they name stay the same.
+    /// The committed records' config strings and hashes contain these
+    /// strings, so they must not change while the inputs they name stay
+    /// the same.
     #[test]
     fn params_fingerprints_are_pinned() {
         let pinned = [

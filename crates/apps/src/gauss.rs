@@ -230,12 +230,6 @@ fn try_spawn_update(
     ctx.spawn(task);
 }
 
-/// Serial baseline cycles (1-processor Base run).
-pub fn serial_cycles(cfg_for_one: SimConfig, params: &GaussParams) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, params, Version::Base).run.elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +277,13 @@ mod tests {
         // problem isn't dominated by memory-module queueing on two nodes.
         use crate::common::sim_config_small_flat;
         let params = GaussParams { n: 48, seed: 7 };
-        let serial = serial_cycles(sim_config_small_flat(1, Version::Base), &params);
+        let serial = run(
+            sim_config_small_flat(1, Version::Base),
+            &params,
+            Version::Base,
+        )
+        .run
+        .elapsed;
         let par = run(
             sim_config_small_flat(8, Version::AffinityDistr),
             &params,

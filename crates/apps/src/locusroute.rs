@@ -57,17 +57,6 @@ pub struct LocusParams {
     pub iterations: usize,
 }
 
-impl LocusParams {
-    /// Default synthetic circuit (the paper used a synthetic dense-wire
-    /// input too).
-    pub fn with_circuit(circuit: Circuit, iterations: usize) -> Self {
-        LocusParams {
-            circuit,
-            iterations,
-        }
-    }
-}
-
 /// One full run.
 pub fn run(cfg: SimConfig, params: &LocusParams, version: Version) -> AppReport {
     run_with_faults(cfg, params, version, None)
@@ -324,12 +313,6 @@ fn connected(cells: &[(usize, usize)]) -> bool {
         push(x, y + 1);
     }
     seen.len() == set.len()
-}
-
-/// Serial baseline cycles (1-processor Base run).
-pub fn serial_cycles(cfg_for_one: SimConfig, params: &LocusParams) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, params, Version::Base).run.elapsed
 }
 
 #[cfg(test)]

@@ -362,12 +362,6 @@ fn verify(params: &OceanParams, result: &[Vec<f64>]) -> f64 {
     err
 }
 
-/// Serial baseline cycles: the 1-processor Base run's elapsed time.
-pub fn serial_cycles(cfg_for_one: SimConfig, params: &OceanParams) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, params, Version::Base).run.elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -263,12 +263,6 @@ fn update_panel(c: &mut TaskCtx<'_>, q: usize, p: usize, env: &Rc<Env>) {
     }
 }
 
-/// Serial baseline cycles (1-processor Base run).
-pub fn serial_cycles(cfg_for_one: SimConfig, prob: &PanelProblem) -> u64 {
-    assert_eq!(cfg_for_one.machine.nprocs, 1);
-    run(cfg_for_one, prob, Version::Base).run.elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

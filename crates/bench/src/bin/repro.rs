@@ -5,12 +5,12 @@
 //! # artifacts under results/full/:
 //! cargo run --release -p bench --bin repro -- --full --out results/full
 //!
-//! # the CI smoke gate: race the parallel pool against a serial run,
+//! # the CI full gate: race the parallel sweep against a serial run,
 //! # check against the committed golden within a 2% band:
-//! cargo run --release -p bench --bin repro -- --smoke --race-serial \
-//!     --out target/repro-smoke --check results/smoke/records.json
+//! cargo run --release -p bench --bin repro -- --full --race-serial \
+//!     --out target/repro-full --check results/full/records.json
 //!
-//! # a slice of the matrix, host-parallel, memoized, as TSV on stdout:
+//! # a slice of the matrix, host-parallel, as TSV on stdout:
 //! cargo run --release -p bench --bin repro -- --apps gauss,ocean --procs 1,8
 //!
 //! # one app's paper figure (here Figures 5–7) at full scale:
@@ -31,42 +31,42 @@
 //!   at the given counts, each defaulting to the paper's ladder and counts
 //!   for each app (1-processor `Base` baselines are always kept). With none
 //!   of them, the whole matrix at small scale.
-//! * `--jobs N` — worker threads (default: one per host CPU).
-//! * `--serial` — run through a single pool worker.
-//! * `--race-serial` — run the matrix twice, serially then pooled, assert
-//!   byte-identical records, and log both wall-clocks.
-//! * `--no-cache` / `--cache-dir DIR` — memoization control (default
-//!   `target/repro-cache`).
+//! * `--jobs N` — runtime servers, one host thread each (default: one per
+//!   host CPU).
+//! * `--serial` — run on a single server.
+//! * `--race-serial` — run the matrix twice, serially then on the runtime,
+//!   assert byte-identical records, and fail unless the runtime is faster
+//!   with 2 or more servers.
 //! * `--out DIR` — write `records.json`, `tables.md`, `tables.tsv`;
 //!   without it the TSV table goes to stdout.
 //! * `--check FILE [--tolerance 0.02]` — drift-gate against a golden.
-//! * `--trace-out BASE` — write the sweep's own Perfetto trace.
+//! * `--trace-out BASE` — write the runtime's trace of the sweep (one
+//!   task per point) as a Perfetto trace.
+//!
+//! Every run simulates every point; nothing is cached between runs.
 
 use std::process::ExitCode;
 
 use apps::driver::Flags;
 use apps::Version;
-use bench::repro::{
-    self, drift, matrix::parse_version, records_doc, MemoCache, SweepOptions,
-};
+use bench::repro::{self, drift, matrix::parse_version, records_doc};
 use bench::Scale;
 
 const USAGE: &str = "usage: repro [--smoke | --full | --deep | --adaptive | \
 [--apps A,B] [--versions L1,L2] [--procs 1,4] [--scale small|full|deep]] \
-[--jobs N] [--serial] [--race-serial] [--no-cache] [--cache-dir DIR] [--out DIR] \
+[--jobs N] [--serial] [--race-serial] [--out DIR] \
 [--check FILE [--tolerance F]] [--trace-out BASE]";
 
 fn main() -> ExitCode {
     let flags = Flags::from_env(
         USAGE,
-        &["--smoke", "--full", "--deep", "--adaptive", "--serial", "--race-serial", "--no-cache"],
+        &["--smoke", "--full", "--deep", "--adaptive", "--serial", "--race-serial"],
         &[
             "--apps",
             "--versions",
             "--procs",
             "--scale",
             "--jobs",
-            "--cache-dir",
             "--out",
             "--check",
             "--tolerance",
@@ -128,34 +128,25 @@ fn main() -> ExitCode {
     } else {
         jobs.unwrap_or(0)
     };
-    let cache = if has("--no-cache") || has("--race-serial") {
-        None
-    } else {
-        let dir = opt("--cache-dir").map_or_else(MemoCache::default_dir, Into::into);
-        match MemoCache::open(&dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("repro: cannot open cache {}: {e}; running uncached", dir.display());
-                None
-            }
+    // The serial reference runs first, so the two sweeps never share the
+    // host's CPUs.
+    let serial = has("--race-serial").then(|| repro::run_serial(&points));
+    let outcome = match repro::run_sweep(&points, jobs, true) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("repro: FAIL — {e}");
+            return ExitCode::FAILURE;
         }
     };
-
-    let outcome = if has("--race-serial") {
-        // Serial reference first, then the pool, both uncached — the
-        // wall-clock comparison and the byte-identity check the CI gate
-        // relies on.
-        let (serial_records, serial_wall) = repro::run_serial(&points);
-        let outcome = repro::run_sweep(
-            &points,
-            &SweepOptions {
-                jobs,
-                cache: None,
-                progress: true,
-            },
-        );
+    eprintln!(
+        "repro: swept {} points in {:.2}s with {} workers",
+        outcome.records.len(),
+        outcome.wall.as_secs_f64(),
+        outcome.workers,
+    );
+    if let Some((serial_records, serial_wall)) = serial {
         if outcome.records != serial_records {
-            eprintln!("repro: FAIL — parallel pool records differ from the serial run");
+            eprintln!("repro: FAIL — parallel sweep records differ from the serial run");
             return ExitCode::FAILURE;
         }
         let ratio = serial_wall.as_secs_f64() / outcome.wall.as_secs_f64().max(1e-9);
@@ -175,26 +166,7 @@ fn main() -> ExitCode {
         if outcome.workers < 2 {
             eprintln!("repro: note — single host CPU, wall-clock comparison is informational only");
         }
-        outcome
-    } else {
-        let outcome = repro::run_sweep(
-            &points,
-            &SweepOptions {
-                jobs,
-                cache,
-                progress: true,
-            },
-        );
-        eprintln!(
-            "repro: swept {} points in {:.2}s with {} workers ({} memoized, {} simulated)",
-            outcome.records.len(),
-            outcome.wall.as_secs_f64(),
-            outcome.workers,
-            outcome.cache_hits,
-            outcome.cache_misses,
-        );
-        outcome
-    };
+    }
 
     let tsv = repro::records_tsv(&outcome.records);
     match opt("--out") {

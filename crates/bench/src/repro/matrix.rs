@@ -4,7 +4,7 @@
 use apps::driver;
 use apps::Version;
 
-use super::record::{fnv1a64, ReproRecord, REPRO_EPOCH};
+use super::record::{ReproRecord, REPRO_EPOCH};
 use crate::Scale;
 
 /// One cell of the experiment matrix.
@@ -32,9 +32,9 @@ impl MatrixPoint {
         )
     }
 
-    /// The full config fingerprint this point memoizes under: pinned app
-    /// inputs, scheduling version, the complete simulator fingerprint
-    /// (machine + policy + cost constants), and the repro epoch.
+    /// The full config fingerprint each record carries as provenance:
+    /// pinned app inputs, scheduling version, the complete simulator
+    /// fingerprint (machine + policy + cost constants), and the repro epoch.
     pub fn config_string(&self) -> String {
         let cfg = self.scale.config(self.nprocs, self.version);
         format!(
@@ -44,11 +44,6 @@ impl MatrixPoint {
             cfg.fingerprint(),
             REPRO_EPOCH,
         )
-    }
-
-    /// The memoization key: `fnv1a64(config_string)` in lower-case hex.
-    pub fn hash_hex(&self) -> String {
-        format!("{:016x}", fnv1a64(&self.config_string()))
     }
 
     /// Run the simulation for this point and package the measurements.
@@ -347,7 +342,6 @@ mod tests {
         let c0 = base.config_string();
         for o in others {
             assert_ne!(o.config_string(), c0, "{o:?}");
-            assert_ne!(o.hash_hex(), base.hash_hex());
         }
     }
 

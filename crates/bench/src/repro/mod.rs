@@ -8,35 +8,34 @@
 //!
 //! * [`matrix`] — the matrix itself: point enumeration, per-point config
 //!   fingerprints, and the pinned CI smoke subset.
-//! * [`pool`] — a work-stealing job pool over host threads with a
-//!   progress/ETA reporter riding the `cool-obs` event stream (the sweep is
-//!   itself exportable as a Perfetto trace).
-//! * [`cache`] — per-point memoization keyed by config hash: re-invocations
-//!   skip every unchanged point.
+//! * [`pool`] — runs the points as tasks on the threaded COOL runtime
+//!   (`cool_rt::Runtime`, one server per host worker) with a progress/ETA
+//!   reporter; the runtime's own trace makes the sweep exportable as a
+//!   Perfetto trace.
 //! * [`record`] — the schema'd `cool-repro-v1` JSON record (speedup,
-//!   execution-time breakdown, PerfMonitor cache/local/remote attribution)
-//!   and its byte-stable reader/writer.
+//!   execution-time breakdown, PerfMonitor cache/local/remote attribution,
+//!   and the config string and hash that record its provenance) and its
+//!   byte-stable reader/writer.
 //! * [`render`] — Markdown/TSV speedup tables and miss-breakdown tables
 //!   mapped one-to-one onto the paper's figures (committed under
 //!   `results/`).
 //! * [`check`] — the tolerance-band drift gate CI runs against the
 //!   committed goldens.
 //!
+//! Every sweep simulates every point: nothing is cached between runs.
 //! The `repro` binary (`cargo run --release -p bench --bin repro`) is the
 //! command-line front end; `REPRODUCTION.md` at the repo root documents the
 //! exact commands behind every committed artifact.
 
-pub mod cache;
 pub mod check;
 pub mod matrix;
 pub mod pool;
 pub mod record;
 pub mod render;
 
-pub use cache::MemoCache;
 pub use check::{drift, parse_tolerance};
 pub use matrix::{adaptive_matrix, build_matrix, deep_matrix, full_matrix, smoke_matrix, MatrixPoint};
-pub use pool::{run_serial, run_sweep, SweepOptions, SweepOutcome};
+pub use pool::{run_serial, run_sweep, SweepOutcome};
 pub use record::{
     derive_speedups, fnv1a64, parse_records_doc, records_doc, ReproRecord, REPRO_EPOCH,
     REPRO_SCHEMA,

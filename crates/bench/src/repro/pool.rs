@@ -1,43 +1,29 @@
-//! A host-thread work-stealing job pool for the sweep.
+//! The sweep runs its matrix points as tasks on the threaded COOL runtime.
 //!
 //! Matrix points are independent, deterministic, CPU-bound jobs of wildly
 //! different lengths (a 1-processor small Gauss run vs a 32-processor full
-//! Ocean run differ by orders of magnitude), so the pool uses the same
-//! discipline the paper's runtime does: each worker owns a deque seeded
-//! round-robin, pops locally from the front, and steals from the *back* of
-//! the next non-empty victim when it runs dry. No job creates more jobs, so
-//! termination is simply "a full victim scan found nothing".
+//! Ocean run differ by orders of magnitude). [`cool_rt::Runtime`] already
+//! schedules such work the way the paper's runtime does: point `i` is
+//! spawned with PROCESSOR affinity `i`, so each server's default queue is
+//! seeded round-robin, popped from the front locally and stolen from the
+//! back when its server runs dry.
 //!
-//! Every point is mirrored onto the `cool-obs` observability stream as a
-//! `TaskBegin`/`TaskEnd` pair stamped with host milliseconds and carrying
-//! the point's PerfMonitor breakdown as its [`MemDelta`] — which makes the
-//! sweep itself exportable as a Perfetto trace and drives the
-//! [`ProgressMeter`] ETA lines. Determinism is unaffected by scheduling:
-//! results land in a slot array indexed by matrix position, so the output
-//! record order is the matrix order regardless of which worker finished
-//! what when.
+//! Each finished point is sent back to the calling thread, which folds it
+//! into the [`ProgressMeter`] ETA lines and into a slot array indexed by
+//! matrix position, so the records come out in matrix order whichever
+//! server ran what. The runtime records its own trace, one task per point
+//! labelled with the point's app, which `repro --trace-out` exports as a
+//! Perfetto trace.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use cool_core::{Event, EventLog, MemDelta, ProcId, Recorder, Recording, TaskUid};
+use cool_core::EventLog;
 use cool_obs::ProgressMeter;
+use cool_rt::{AffinitySpec, RtConfig, RtTask, Runtime, ScopeError};
 
-use super::cache::MemoCache;
 use super::matrix::MatrixPoint;
 use super::record::{derive_speedups, ReproRecord};
-
-/// Pool configuration.
-#[derive(Debug, Default)]
-pub struct SweepOptions {
-    /// Worker threads; 0 means one per available host CPU.
-    pub jobs: usize,
-    /// Memoization cache (`None` disables lookup *and* store).
-    pub cache: Option<MemoCache>,
-    /// Print progress/ETA lines to stderr as points complete.
-    pub progress: bool,
-}
 
 /// What a sweep produced.
 #[derive(Debug)]
@@ -46,13 +32,9 @@ pub struct SweepOutcome {
     pub records: Vec<ReproRecord>,
     /// Wall-clock of the whole sweep.
     pub wall: Duration,
-    /// Worker threads actually used.
+    /// Runtime servers (host worker threads) actually used.
     pub workers: usize,
-    /// Memoization hits (0 when the cache was disabled).
-    pub cache_hits: usize,
-    /// Points actually simulated.
-    pub cache_misses: usize,
-    /// The sweep's own trace (one task per point).
+    /// The runtime's trace of the sweep (one task per point).
     pub trace: EventLog,
 }
 
@@ -63,62 +45,61 @@ pub fn effective_workers(jobs: usize, npoints: usize) -> usize {
     n.clamp(1, npoints.max(1))
 }
 
-/// Run every point through the pool.
-pub fn run_sweep(points: &[MatrixPoint], opts: &SweepOptions) -> SweepOutcome {
-    let nworkers = effective_workers(opts.jobs, points.len());
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..nworkers)
-        .map(|_| Mutex::new(VecDeque::new()))
-        .collect();
-    for (i, _) in points.iter().enumerate() {
-        queues[i % nworkers].lock().unwrap().push_back(i);
-    }
-    let results: Mutex<Vec<Option<ReproRecord>>> = Mutex::new(vec![None; points.len()]);
-    let recorder = Recorder::new(Recording::Trace, nworkers).expect("tracing is on");
-    let meter = Mutex::new(ProgressMeter::new(points.len(), 0, 2_000));
+/// Run every point as a task on a runtime with one server per worker
+/// (`jobs` of them; 0 means one per host CPU), printing progress lines to
+/// stderr when `progress` is set. A point that panics fails the sweep with
+/// its panic message.
+pub fn run_sweep(
+    points: &[MatrixPoint],
+    jobs: usize,
+    progress: bool,
+) -> Result<SweepOutcome, ScopeError> {
+    let workers = effective_workers(jobs, points.len());
     let epoch = Instant::now();
-
-    std::thread::scope(|scope| {
-        for w in 0..nworkers {
-            let queues = &queues;
-            let results = &results;
-            let recorder = &recorder;
-            let meter = &meter;
-            let cache = opts.cache.as_ref();
-            let progress = opts.progress;
-            scope.spawn(move || {
-                worker_loop(
-                    w, points, queues, results, recorder, meter, cache, progress, epoch,
-                );
-            });
+    let rt = Runtime::new(RtConfig::new(workers).with_trace());
+    let mut meter = progress.then(|| ProgressMeter::new(points.len(), 0, 2_000));
+    let mut slots: Vec<Option<ReproRecord>> = vec![None; points.len()];
+    let (tx, rx) = mpsc::channel();
+    rt.scope(|s| {
+        for (i, &point) in points.iter().enumerate() {
+            let tx = tx.clone();
+            s.spawn(
+                RtTask::new(move |_| {
+                    tx.send((i, point.run()))
+                        .expect("the sweep outlives its points");
+                })
+                .with_affinity(AffinitySpec::processor(i))
+                .with_label(point.app),
+            );
         }
-    });
-
+        // Once every point has sent or panicked, no sender is left and
+        // the loop ends.
+        drop(tx);
+        for (i, rec) in rx {
+            slots[i] = Some(rec);
+            let now_ms = epoch.elapsed().as_millis() as u64;
+            if let Some(line) = meter.as_mut().and_then(|m| m.finish(now_ms)) {
+                eprintln!("repro: {line}");
+            }
+        }
+    })?;
     let wall = epoch.elapsed();
-    let mut records: Vec<ReproRecord> = results
-        .into_inner()
-        .unwrap()
+    let mut records: Vec<ReproRecord> = slots
         .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("point {} never ran", points[i].label())))
+        .map(|r| r.expect("a clean scope ran every point"))
         .collect();
     derive_speedups(&mut records);
-    let (cache_hits, cache_misses) = match &opts.cache {
-        Some(c) => (c.hits(), c.misses()),
-        None => (0, points.len()),
-    };
-    SweepOutcome {
+    Ok(SweepOutcome {
         records,
         wall,
-        workers: nworkers,
-        cache_hits,
-        cache_misses,
-        trace: recorder.drain(),
-    }
+        workers,
+        trace: rt.take_obs(),
+    })
 }
 
-/// Run the same points as a plain serial loop with no pool, no cache and no
+/// Run the same points as a plain serial loop with no runtime and no
 /// instrumentation — the reference the determinism tests and the CI
-/// `--race-serial` wall-clock comparison measure the pool against.
+/// `--race-serial` wall-clock comparison measure the sweep against.
 pub fn run_serial(points: &[MatrixPoint]) -> (Vec<ReproRecord>, Duration) {
     let t0 = Instant::now();
     let mut records: Vec<ReproRecord> = points.iter().map(MatrixPoint::run).collect();
@@ -126,88 +107,12 @@ pub fn run_serial(points: &[MatrixPoint]) -> (Vec<ReproRecord>, Duration) {
     (records, t0.elapsed())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    w: usize,
-    points: &[MatrixPoint],
-    queues: &[Mutex<VecDeque<usize>>],
-    results: &Mutex<Vec<Option<ReproRecord>>>,
-    recorder: &Recorder,
-    meter: &Mutex<ProgressMeter>,
-    cache: Option<&MemoCache>,
-    progress: bool,
-    epoch: Instant,
-) {
-    let now_ms = |epoch: Instant| epoch.elapsed().as_millis() as u64;
-    loop {
-        // Local pop from the front; steal from the back of the next
-        // non-empty victim. All jobs are seeded up front, so an empty full
-        // scan means everything is claimed and this worker can retire.
-        let mut job = queues[w].lock().unwrap().pop_front();
-        if job.is_none() {
-            for k in 1..queues.len() {
-                let victim = (w + k) % queues.len();
-                job = queues[victim].lock().unwrap().pop_back();
-                if job.is_some() {
-                    break;
-                }
-            }
-        }
-        let Some(idx) = job else { break };
-        let point = &points[idx];
-        recorder.record(
-            w,
-            Event::TaskBegin {
-                task: TaskUid(idx as u64 + 1),
-                label: Some(point.app),
-                proc: ProcId(w),
-                target: ProcId(w),
-                hinted: false,
-                set: None,
-                object: None,
-                object_home: None,
-                time: now_ms(epoch),
-            },
-        );
-        let rec = match cache.and_then(|c| c.lookup(point)) {
-            Some(hit) => hit,
-            None => {
-                let rec = point.run();
-                if let Some(c) = cache {
-                    if let Err(e) = c.store(&rec) {
-                        eprintln!("repro: cache store failed for {}: {e}", point.label());
-                    }
-                }
-                rec
-            }
-        };
-        let end = Event::TaskEnd {
-            task: TaskUid(idx as u64 + 1),
-            proc: ProcId(w),
-            mem: Some(MemDelta {
-                refs: rec.refs,
-                l1_hits: rec.l1_hits,
-                l2_hits: rec.l2_hits,
-                local_misses: rec.local_misses,
-                remote_misses: rec.remote_misses,
-            }),
-            time: now_ms(epoch),
-        };
-        recorder.record(w, end.clone());
-        if progress {
-            if let Some(line) = meter.lock().unwrap().on_event(&end) {
-                eprintln!("repro: {line}");
-            }
-        }
-        results.lock().unwrap()[idx] = Some(rec);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repro::matrix::build_matrix;
     use crate::Scale;
+    use cool_core::Event;
 
     fn tiny_matrix() -> Vec<MatrixPoint> {
         build_matrix(&["gauss"], None, Some(&[1, 2]), Scale::Small)
@@ -217,48 +122,45 @@ mod tests {
     fn pool_matches_serial_in_matrix_order() {
         let points = tiny_matrix();
         let (serial, _) = run_serial(&points);
-        let out = run_sweep(
-            &points,
-            &SweepOptions {
-                jobs: 3,
-                cache: None,
-                progress: false,
-            },
-        );
+        let out = run_sweep(&points, 3, false).expect("clean sweep");
         assert_eq!(out.records, serial);
-        assert_eq!(out.cache_misses, points.len());
-        assert_eq!(out.cache_hits, 0);
+        assert_eq!(out.workers, 3);
     }
 
     #[test]
     fn sweep_trace_has_one_task_per_point_with_attribution() {
-        let points = tiny_matrix();
-        let out = run_sweep(
-            &points,
-            &SweepOptions {
-                jobs: 2,
-                cache: None,
-                progress: false,
-            },
-        );
-        let begins = out
+        let mut points = tiny_matrix();
+        points.extend(build_matrix(&["ocean"], None, Some(&[2]), Scale::Small));
+        let out = run_sweep(&points, 2, false).expect("clean sweep");
+        let mut labels: Vec<&str> = out
             .trace
             .events
             .iter()
-            .filter(|e| matches!(e, Event::TaskBegin { .. }))
-            .count();
-        let mut mem = MemDelta::default();
-        for e in &out.trace.events {
-            if let Event::TaskEnd { mem: Some(d), .. } = e {
-                mem.accumulate(d);
-            }
-        }
-        assert_eq!(begins, points.len());
-        assert_eq!(
-            mem.refs,
-            out.records.iter().map(|r| r.refs).sum::<u64>(),
-            "trace attribution sums to the record totals"
+            .filter_map(|e| match e {
+                Event::TaskBegin { label, .. } => Some(label.expect("every point is labelled")),
+                _ => None,
+            })
+            .collect();
+        let mut apps: Vec<&str> = points.iter().map(|p| p.app).collect();
+        labels.sort_unstable();
+        apps.sort_unstable();
+        assert_eq!(labels, apps, "one task per point, labelled with its app");
+    }
+
+    #[test]
+    fn a_panicking_point_fails_the_sweep_with_its_message() {
+        let mut points = tiny_matrix();
+        points.insert(
+            1,
+            MatrixPoint {
+                app: "bogus",
+                ..points[0]
+            },
         );
+        let err = run_sweep(&points, 2, false).expect_err("the bogus point panics");
+        let msg = err.to_string();
+        assert!(msg.starts_with("1 task(s) panicked"), "{msg}");
+        assert!(msg.contains("unknown app \"bogus\""), "{msg}");
     }
 
     #[test]

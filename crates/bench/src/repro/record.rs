@@ -6,8 +6,12 @@
 //! dependency), and the reader is a small line-oriented parser that accepts
 //! exactly the documents the writer produces. Round-tripping a record
 //! through [`ReproRecord::to_json`] / [`ReproRecord::parse`] is the
-//! identity on bytes — the memoization cache and the CI drift gate both
-//! rely on that.
+//! identity on bytes — the CI drift gate and the byte-for-byte `cmp` of
+//! regenerated results both rely on that.
+//!
+//! Each record carries its point's full config string and that string's
+//! hash. They are provenance — what produced these numbers — not cache
+//! keys: every sweep simulates every point.
 
 use apps::{AppReport, Version};
 
@@ -16,9 +20,10 @@ pub const REPRO_SCHEMA: &str = "cool-repro-v1";
 
 /// Bumped whenever simulated behaviour changes *intentionally* (a scheduler
 /// fix, a latency-table change, an app change). It is folded into every
-/// config string and therefore every memoization hash, invalidating cached
-/// records that predate the change. Config mutations (machine, policy,
-/// inputs, processor count) are captured by the fingerprints themselves.
+/// config string and therefore every record's hash, so a committed record
+/// names the simulator generation that produced it. Config mutations
+/// (machine, policy, inputs, processor count) are captured by the
+/// fingerprints themselves.
 ///
 /// Epoch 2: machine-scale sweeps run through the contention engine
 /// (bus/net/directory/memory resources with queueing), and records
@@ -27,8 +32,8 @@ pub const REPRO_EPOCH: u32 = 2;
 
 /// Canonicalize a float to the precision the JSON writer emits, so a
 /// record holds exactly what its serialization holds and
-/// serialize→parse is the identity on the struct (the cache and the
-/// determinism tests compare records, not just documents).
+/// serialize→parse is the identity on the struct (the determinism tests
+/// and the drift gate compare records, not just documents).
 fn canon6(x: f64) -> f64 {
     format!("{x:.6}").parse().expect("formatted float reparses")
 }
@@ -37,8 +42,8 @@ fn canon3e(x: f64) -> f64 {
     format!("{x:.3e}").parse().expect("formatted float reparses")
 }
 
-/// FNV-1a 64-bit over a string — the memoization key hash. Stable across
-/// platforms and runs by construction.
+/// FNV-1a 64-bit over a string — the hash of a record's config string.
+/// Stable across platforms and runs by construction.
 pub fn fnv1a64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in s.as_bytes() {
@@ -49,7 +54,7 @@ pub fn fnv1a64(s: &str) -> u64 {
 }
 
 /// Everything measured at one matrix point, plus the identity and config
-/// fingerprint that memoize it.
+/// fingerprint that produced it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReproRecord {
     /// Application name (one of `apps::driver::APP_NAMES`).
@@ -61,9 +66,9 @@ pub struct ReproRecord {
     /// Experiment scale (`small` / `full`).
     pub scale: String,
     /// Full human-readable config fingerprint (inputs, machine, policy,
-    /// scheduler constants, repro epoch). The memoization key preimage.
+    /// scheduler constants, repro epoch): the record's provenance.
     pub config: String,
-    /// `fnv1a64(config)` in lower-case hex — the cache file name.
+    /// `fnv1a64(config)` in lower-case hex — a short handle on `config`.
     pub hash: String,
     /// Speedup vs the 1-processor `Base` run of the same app and scale.
     /// Derived from the record *set* after a sweep (see

@@ -1,8 +1,8 @@
 //! Command lines the harness binaries reject or complete. Every binary
 //! rejects a malformed flag value the way it rejects an unknown flag, and
-//! `repro` rejects conflicting matrix selectors the same way: the problem
-//! and the usage on stderr, exit status 2, and nothing run. `figures` with
-//! only modifiers prints every exhibit.
+//! `repro` rejects conflicting matrix selectors and the retired cache flags
+//! the same way: the problem and the usage on stderr, exit status 2, and
+//! nothing run. `figures` with only modifiers prints every exhibit.
 
 use std::process::Command;
 
@@ -62,6 +62,28 @@ fn repro_rejects_conflicting_selectors_before_running() {
         "a rejected command line wrote {}",
         out_dir.display()
     );
+}
+
+#[test]
+fn repro_rejects_the_retired_cache_flags() {
+    // Every sweep simulates every point; the memo cache and its flags are
+    // gone, so a command line that still names them must not run.
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let cases: [&[&str]; 2] = [&["--smoke", "--no-cache"], &["--smoke", "--cache-dir", "x"]];
+    for args in cases {
+        let out = Command::new(repro).args(args).output().expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag {}", args[1]))
+                && stderr.contains("usage:"),
+            "repro {args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("matrix points"),
+            "repro {args:?} ran: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -27,11 +27,6 @@ impl Analysis {
     pub fn has_errors(&self) -> bool {
         !self.races.races.is_empty() || !self.locks.cycles.is_empty()
     }
-
-    /// Is the run completely clean (no races, cycles, or lints)?
-    pub fn is_clean(&self) -> bool {
-        !self.has_errors() && self.lints.is_empty()
-    }
 }
 
 /// Escape a string for JSON output.

@@ -118,12 +118,6 @@ impl AffinitySpec {
         self
     }
 
-    /// Add a TASK affinity to an existing spec.
-    pub fn and_task(mut self, obj: ObjRef) -> Self {
-        self.task = Some(obj);
-        self
-    }
-
     /// Add a PROCESSOR affinity to an existing spec.
     pub fn and_processor(mut self, n: usize) -> Self {
         self.processor = Some(n);

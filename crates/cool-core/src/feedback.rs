@@ -27,12 +27,11 @@
 //! [`AdaptiveConfig::window`] completed tasks). On the virtual-time
 //! simulator the whole loop is therefore a pure function of the schedule,
 //! which is itself deterministic — adaptive runs replay byte-identically,
-//! and the sweep engine can memoize them like any static configuration.
-//! The threaded runtime keeps no aggregator.
+//! like any static configuration. The threaded runtime keeps no aggregator.
 //!
 //! Both config types render a stable [`fingerprint`](AdaptiveConfig::fingerprint)
-//! segment that the simulator appends to its own, so memoized records can
-//! never be satisfied by a run with different adaptation knobs.
+//! segment that the simulator appends to its own, so a sweep record's
+//! config string (its provenance) names the adaptation knobs it ran with.
 
 /// Knobs of the closed-loop steal/migration adaptation. All rates are in
 /// per-mille (‰) so the control loop stays in integer arithmetic — floats

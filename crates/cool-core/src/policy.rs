@@ -290,9 +290,10 @@ impl Default for StealPolicy {
 }
 
 impl StealPolicy {
-    /// A compact, stable fingerprint of the policy knobs, used in the
-    /// `cool-repro` memoization key. Topology-aware knobs append segments
-    /// only when set, so classic policies keep their historical fingerprint.
+    /// A compact, stable fingerprint of the policy knobs, recorded in each
+    /// `cool-repro` record's config string as provenance. Topology-aware
+    /// knobs append segments only when set, so classic policies keep their
+    /// historical fingerprint.
     pub fn fingerprint(&self) -> String {
         let mut s = format!(
             "steal={} avoid={} sets={} cluster={} lr={}",

@@ -14,9 +14,8 @@
 //!   remote breakdown attributed from PerfMonitor deltas at task
 //!   boundaries (so the per-set totals sum to the end-of-run aggregates).
 //!
-//! * [`progress`] — a progress/ETA meter folded incrementally over the same
-//!   event stream, used by the `cool-repro` sweep engine's host-parallel
-//!   job pool.
+//! * [`progress`] — a progress/ETA meter the `cool-repro` sweep engine
+//!   feeds one finished matrix point at a time.
 //!
 //! Everything is hand-rolled string formatting over a fixed key order — no
 //! JSON dependency, matching the offline build constraints and the

@@ -1,20 +1,13 @@
-//! A progress/ETA meter over the [`Event`] stream.
+//! A progress/ETA meter for the `cool-repro` sweep engine.
 //!
-//! The `cool-repro` sweep engine models each matrix point as a task on the
-//! event stream (a [`Event::TaskBegin`] / [`Event::TaskEnd`]
-//! pair stamped with host milliseconds), which buys two things at once: the
-//! sweep itself can be exported as a Perfetto trace through
-//! [`chrome_trace_json`](crate::chrome_trace_json), and this meter can fold
-//! the same events into human progress lines with an ETA. The meter is
-//! plain incremental state over event values — no clocks of its own — so it
-//! is deterministic and unit-testable with synthetic timestamps.
+//! The sweep tells the meter each time a matrix point finishes, stamped
+//! with host milliseconds, and the meter folds those completions into
+//! human progress lines with an ETA. The meter is plain incremental state
+//! over the timestamps it is given — no clocks of its own — so it is
+//! deterministic and unit-testable with synthetic timestamps.
 
-use cool_core::Event;
-
-/// Incremental progress state fed one [`Event`] at a time.
+/// Incremental progress state fed one completion at a time.
 ///
-/// Only [`Event::TaskEnd`] advances completion; every other event is
-/// ignored, so the meter can share a stream with richer instrumentation.
 /// Lines are rate-limited to one per `min_interval_ms` except the final
 /// completion line, which always prints.
 #[derive(Clone, Debug)]
@@ -27,8 +20,8 @@ pub struct ProgressMeter {
 }
 
 impl ProgressMeter {
-    /// A meter expecting `total` task completions, with `start_ms` as the
-    /// epoch the event timestamps are relative to.
+    /// A meter expecting `total` completions, with `start_ms` as the epoch
+    /// the completion timestamps are relative to.
     pub fn new(total: usize, start_ms: u64, min_interval_ms: u64) -> Self {
         ProgressMeter {
             total,
@@ -49,14 +42,10 @@ impl ProgressMeter {
         self.total
     }
 
-    /// Fold one event; returns a progress line when one is due (a task
-    /// completed and the rate limit allows it, or the stream just finished).
-    pub fn on_event(&mut self, event: &Event) -> Option<String> {
-        let Event::TaskEnd { time, .. } = event else {
-            return None;
-        };
+    /// Count one completion at `now`; returns a progress line when one is
+    /// due (the rate limit allows it, or this was the last completion).
+    pub fn finish(&mut self, now: u64) -> Option<String> {
         self.done += 1;
-        let now = *time;
         let finished = self.done >= self.total;
         let due = match self.last_line_ms {
             None => true,
@@ -99,37 +88,13 @@ impl ProgressMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cool_core::{ProcId, TaskUid};
-
-    fn end(t: u64) -> Event {
-        Event::TaskEnd {
-            task: TaskUid(1),
-            proc: ProcId(0),
-            mem: None,
-            time: t,
-        }
-    }
-
-    fn begin(t: u64) -> Event {
-        Event::TaskBegin {
-            task: TaskUid(1),
-            label: Some("x"),
-            proc: ProcId(0),
-            target: ProcId(0),
-            hinted: false,
-            set: None,
-            object: None,
-            object_home: None,
-            time: t,
-        }
-    }
 
     #[test]
-    fn only_task_end_advances() {
+    fn each_finish_advances_one_point() {
         let mut m = ProgressMeter::new(2, 0, 0);
-        assert!(m.on_event(&begin(5)).is_none());
         assert_eq!(m.done(), 0);
-        let line = m.on_event(&end(1000)).expect("line on first completion");
+        let line = m.finish(1000).expect("line on first completion");
+        assert_eq!(m.done(), 1);
         assert!(line.starts_with("1/2 points"), "{line}");
         assert!(line.contains("eta 1.0s"), "{line}");
     }
@@ -137,9 +102,9 @@ mod tests {
     #[test]
     fn rate_limit_suppresses_intermediate_lines_but_not_the_last() {
         let mut m = ProgressMeter::new(3, 0, 10_000);
-        assert!(m.on_event(&end(100)).is_some(), "first line always prints");
-        assert!(m.on_event(&end(200)).is_none(), "inside the interval");
-        let last = m.on_event(&end(300)).expect("final line always prints");
+        assert!(m.finish(100).is_some(), "first line always prints");
+        assert!(m.finish(200).is_none(), "inside the interval");
+        let last = m.finish(300).expect("final line always prints");
         assert!(last.starts_with("3/3"), "{last}");
         assert!(last.contains("done"), "{last}");
     }
@@ -147,8 +112,8 @@ mod tests {
     #[test]
     fn eta_extrapolates_mean_rate() {
         let mut m = ProgressMeter::new(4, 1000, 0);
-        m.on_event(&end(2000));
-        let line = m.on_event(&end(3000)).unwrap();
+        m.finish(2000);
+        let line = m.finish(3000).unwrap();
         // 2 done in 2s → 1s per point, 2 left → eta 2s.
         assert!(line.contains("eta 2.0s"), "{line}");
         assert!(line.contains("50%"), "{line}");

@@ -7,6 +7,7 @@ use cool_core::{
     PolicyFeedback, ProcId, RebalanceConfig, Recorder, Recording, SchedStats, StealPolicy,
     TaskUid, Topology, VictimOrders,
 };
+use dash_sim::config::{DISPATCH_OVERHEAD, PAGE_MIGRATE_COST};
 use dash_sim::{Machine, MachineConfig};
 
 use crate::report::RunReport;
@@ -55,6 +56,16 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// Cycles to probe one victim's queues during a steal scan.
+const STEAL_PROBE_COST: u64 = 30;
+/// Cycles to transfer a stolen batch.
+const STEAL_XFER_COST: u64 = 100;
+/// Cycles burned when a mutex task is found blocked and set aside.
+const MUTEX_RETRY_COST: u64 = 20;
+/// Cycles charged to a creator per spawn (task creation is lightweight in
+/// COOL; this covers descriptor setup + enqueue).
+const SPAWN_COST: u64 = 20;
+
 /// Runtime configuration: the machine plus scheduler knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -65,15 +76,6 @@ pub struct SimConfig {
     /// Affinity-queue array size per server (Section 5: "collisions ... can
     /// be minimized by choosing a suitably large array size").
     pub affinity_slots: usize,
-    /// Cycles to probe one victim's queues during a steal scan.
-    pub steal_probe_cost: u64,
-    /// Cycles to transfer a stolen batch.
-    pub steal_xfer_cost: u64,
-    /// Cycles burned when a mutex task is found blocked and set aside.
-    pub mutex_retry_cost: u64,
-    /// Cycles charged to a creator per spawn (task creation is lightweight
-    /// in COOL; this covers descriptor setup + enqueue).
-    pub spawn_cost: u64,
     /// How much of the [`Event`] stream to record: `Trace` keeps the
     /// scheduler-observability facts (task begin/end with PerfMonitor
     /// deltas, steals, slot transitions, mutex waits, queue-depth samples);
@@ -110,10 +112,6 @@ impl SimConfig {
             machine,
             policy: StealPolicy::default(),
             affinity_slots: 64,
-            steal_probe_cost: 30,
-            steal_xfer_cost: 100,
-            mutex_retry_cost: 20,
-            spawn_cost: 20,
             recording: Recording::Off,
             check_coherence: false,
             adaptive: None,
@@ -163,21 +161,21 @@ impl SimConfig {
     /// simulated schedule: the machine, the steal policy, and the scheduler
     /// cost constants. Recording and checking flags are deliberately
     /// excluded — they are observers, never inputs (recording or checking
-    /// a run must not change it). `cool-repro` hashes this into its
-    /// memoization key. The adaptive and rebalance segments are appended
-    /// only when configured, so every static configuration's fingerprint
-    /// stays byte-identical to the pre-adaptive schema (committed sweep
-    /// records keep verifying).
+    /// a run must not change it). `cool-repro` records it in each record's
+    /// config string as provenance. The adaptive and rebalance segments are
+    /// appended only when configured, so every static configuration's
+    /// fingerprint stays byte-identical to the pre-adaptive schema
+    /// (committed sweep records keep verifying).
     pub fn fingerprint(&self) -> String {
         let mut s = format!(
             "{} {} slots={} probe={} xfer={} mrt={} spawn={}",
             self.machine.fingerprint(),
             self.policy.fingerprint(),
             self.affinity_slots,
-            self.steal_probe_cost,
-            self.steal_xfer_cost,
-            self.mutex_retry_cost,
-            self.spawn_cost,
+            STEAL_PROBE_COST,
+            STEAL_XFER_COST,
+            MUTEX_RETRY_COST,
+            SPAWN_COST,
         );
         if let Some(a) = &self.adaptive {
             s.push(' ');
@@ -448,9 +446,8 @@ impl SimRuntime {
         self.push_local(target, kind, st);
         self.pending += 1;
         self.stats.spawned += 1;
-        self.machine.monitor_mut().proc_mut(creator.index()).overhead_cycles +=
-            self.cfg.spawn_cost;
-        self.cfg.spawn_cost
+        self.machine.monitor_mut().proc_mut(creator.index()).overhead_cycles += SPAWN_COST;
+        SPAWN_COST
     }
 
     /// Enqueue a task on server `p`'s queues, emitting a slot-link event
@@ -565,9 +562,8 @@ impl SimRuntime {
             }
         }
         let (kind, mut st) = (popped.kind, self.tasks.take(popped.payload));
-        self.clocks[pi] += self.cfg.machine.dispatch_overhead;
-        self.machine.monitor_mut().proc_mut(pi).overhead_cycles +=
-            self.cfg.machine.dispatch_overhead;
+        self.clocks[pi] += DISPATCH_OVERHEAD;
+        self.machine.monitor_mut().proc_mut(pi).overhead_cycles += DISPATCH_OVERHEAD;
 
         // Transient injected failure: consume it before the body runs and
         // requeue the task untouched, so it still executes exactly once.
@@ -615,7 +611,7 @@ impl SimRuntime {
                     self.stats.mutex_blocks += 1;
                 }
                 st.blocked_before = true;
-                self.clocks[pi] += self.cfg.mutex_retry_cost;
+                self.clocks[pi] += MUTEX_RETRY_COST;
                 let (rot, earliest) = &mut self.rotations[pi];
                 *rot += 1;
                 *earliest = (*earliest).min(free_at);
@@ -848,8 +844,7 @@ impl SimRuntime {
                 if gain <= 0 {
                     continue;
                 }
-                let cost = mcfg.page_migrate_cost;
-                if (gain as u64) * 1000 < cost * u64::from(rb.margin_permille) {
+                if (gain as u64) * 1000 < PAGE_MIGRATE_COST * u64::from(rb.margin_permille) {
                     continue;
                 }
                 moves.push((page as u64, best, u64::from(best_count)));
@@ -903,9 +898,9 @@ impl SimRuntime {
             },
         );
         if let Some(scan) = scan {
-            let mut cost = scan.probes as u64 * self.cfg.steal_probe_cost;
+            let mut cost = scan.probes as u64 * STEAL_PROBE_COST;
             if scan.stolen.is_some() {
-                cost += self.cfg.steal_xfer_cost;
+                cost += STEAL_XFER_COST;
             }
             self.clocks[pi] += cost;
             self.machine.monitor_mut().proc_mut(pi).overhead_cycles += cost;

@@ -101,11 +101,6 @@ impl TaskCtx<'_> {
         self.proc
     }
 
-    /// This task's unique identity within the run.
-    pub fn task_uid(&self) -> TaskUid {
-        self.task
-    }
-
     /// Number of servers in the machine.
     pub fn nservers(&self) -> usize {
         self.rt.nservers()

@@ -132,6 +132,12 @@ impl Default for Latencies {
     }
 }
 
+/// Scheduling overhead charged per task dispatch (enqueue + dequeue).
+pub const DISPATCH_OVERHEAD: u64 = 50;
+
+/// Cycles to migrate one page (copy + remap).
+pub const PAGE_MIGRATE_COST: u64 = 2000;
+
 /// Full machine configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -148,10 +154,6 @@ pub struct MachineConfig {
     /// Operating-system page size: homes are tracked per page, and `migrate`
     /// moves whole pages, matching the DASH footnote in Section 4.1.
     pub page_bytes: u64,
-    /// Scheduling overhead charged per task dispatch (enqueue + dequeue).
-    pub dispatch_overhead: u64,
-    /// Cycles to migrate one page (copy + remap).
-    pub page_migrate_cost: u64,
     /// Cycles a memory module is occupied per request it services. Requests
     /// to a busy module queue, so concentrating data on one node costs
     /// bandwidth as well as latency — the effect behind the paper's
@@ -192,8 +194,6 @@ impl MachineConfig {
             },
             lat: Latencies::default(),
             page_bytes: 4096,
-            dispatch_overhead: 50,
-            page_migrate_cost: 2000,
             mem_occupancy: 3,
             contention: None,
             deep: None,
@@ -249,9 +249,11 @@ impl MachineConfig {
     }
 
     /// A compact, stable fingerprint of every parameter that influences
-    /// simulated behaviour. Feeds the `cool-repro` memoization key: two
-    /// configs with equal fingerprints produce identical simulations, and
-    /// any parameter change changes the string.
+    /// simulated behaviour, the constant [`DISPATCH_OVERHEAD`] and
+    /// [`PAGE_MIGRATE_COST`] included. `cool-repro` records it in each
+    /// record's config string as provenance: two configs with equal
+    /// fingerprints produce identical simulations, and any parameter change
+    /// changes the string.
     pub fn fingerprint(&self) -> String {
         let ctn = match &self.contention {
             None => "off".to_string(),
@@ -273,15 +275,15 @@ impl MachineConfig {
             self.lat.remote_mem,
             self.lat.dirty_penalty,
             self.page_bytes,
-            self.dispatch_overhead,
-            self.page_migrate_cost,
+            DISPATCH_OVERHEAD,
+            PAGE_MIGRATE_COST,
             self.mem_occupancy,
             ctn,
         );
         if let Some(t) = &self.deep {
             // Appended only for deep machines: classic 2-level fingerprints
             // stay byte-identical to the epoch-2 baselines, and a deep
-            // machine can never collide with a classic one in the memo cache.
+            // machine's config string always differs from a classic one's.
             let sizes: Vec<String> = t.level_sizes().iter().map(|s| s.to_string()).collect();
             let lats: Vec<String> = t.remote_lat[..t.nlevels as usize - t.mem_level as usize]
                 .iter()

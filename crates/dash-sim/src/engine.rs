@@ -212,11 +212,6 @@ impl Resource {
         }
     }
 
-    /// The deterministic service time.
-    pub fn service_time(&self) -> u64 {
-        self.service
-    }
-
     /// Admit a transaction arriving at `now`: returns the cycles it waits
     /// before service begins, and commits the server through its service.
     /// A zero-service resource is infinitely fast: it never delays an

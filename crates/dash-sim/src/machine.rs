@@ -11,7 +11,7 @@ use cool_core::{ClusterId, NodeId, ObjRef, ProcId, MAX_TOPO_LEVELS};
 
 use crate::cache::{Level, ProcCache};
 use crate::check::{CheckState, CoherenceViolation};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, PAGE_MIGRATE_COST};
 use crate::directory::Directory;
 use crate::engine::{ContentionStats, Engine, Hop, ResourceKind};
 use crate::monitor::{PerfMonitor, Service};
@@ -236,12 +236,6 @@ impl Machine {
 
     // ----- allocation & distribution (Section 4.1 primitives) -----
 
-    /// Default allocation: from the local memory of the requesting processor.
-    pub fn alloc_local(&mut self, p: ProcId, bytes: u64) -> ObjRef {
-        let node = self.cfg.node_of(p);
-        self.space.alloc_placed(bytes, node, p)
-    }
-
     /// `new (n) T`: allocate in the local memory of processor `n % nprocs`.
     pub fn alloc_on_proc(&mut self, n: usize, bytes: u64) -> ObjRef {
         let p = ProcId(n % self.cfg.nprocs);
@@ -335,7 +329,7 @@ impl Machine {
                 l += 1;
             }
         }
-        moved * self.cfg.page_migrate_cost
+        moved * PAGE_MIGRATE_COST
     }
 
     // ----- memory references -----

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use cool_core::{NodeId, ObjRef, ProcId};
 
 use crate::cache::{Access, Level};
-use crate::config::{CacheConfig, MachineConfig};
+use crate::config::{CacheConfig, MachineConfig, PAGE_MIGRATE_COST};
 use crate::directory::CoherenceOutcome;
 use crate::monitor::{PerfMonitor, Service};
 use crate::space::AddressSpace;
@@ -299,7 +299,7 @@ impl OracleMachine {
             self.dir.purge_line(line);
             line += 1;
         }
-        moved * self.cfg.page_migrate_cost
+        moved * PAGE_MIGRATE_COST
     }
 
     pub fn read_at(&mut self, p: ProcId, obj: ObjRef, len: u64, now: u64) -> u64 {

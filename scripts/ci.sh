@@ -119,54 +119,34 @@ run scripts/bench.sh --smoke
 RUSTDOCFLAGS="-D warnings" run cargo doc --offline --workspace --no-deps -q
 
 # Reproduction gate: sweep the pinned smoke matrix (2 apps × 2 versions ×
-# {1,4} procs) through the parallel pool, uncached, and drift-check the
-# records against the committed golden within a 2% band. The sweep is
-# deterministic, so the records and the rendered tables must also match
-# the committed ones byte for byte. (The smoke sweep takes milliseconds,
-# too short to race against a serial run; the deep step below races.)
+# {1,4} procs) on the threaded runtime and drift-check the records against
+# the committed golden within a 2% band. Every sweep simulates every
+# point. The sweep is deterministic, so the records and the rendered
+# tables must also match the committed ones byte for byte. (The smoke
+# sweep takes milliseconds, too short to race against a serial run; the
+# full step below races.)
 rm -rf target/repro-smoke
 run cargo run --release --offline -q -p bench --bin repro -- \
-    --smoke --no-cache --out target/repro-smoke \
+    --smoke --out target/repro-smoke \
     --check results/smoke/records.json --tolerance 0.02
 run cmp results/smoke/records.json target/repro-smoke/records.json
 run cmp results/smoke/tables.md target/repro-smoke/tables.md
 run cmp results/smoke/tables.tsv target/repro-smoke/tables.tsv
 
-# Memo gate: every other sweep here runs uncached, so the cached read path
-# is checked on its own. The smoke sweep runs twice against a fresh cache
-# directory: the first run fills it, the second must serve all 8 points
-# from it, and both must write the committed records and tables byte for
-# byte.
-rm -rf target/ci-memo target/repro-memo-1 target/repro-memo-2
-run cargo run --release --offline -q -p bench --bin repro -- \
-    --smoke --cache-dir target/ci-memo --out target/repro-memo-1
-run cargo run --release --offline -q -p bench --bin repro -- \
-    --smoke --cache-dir target/ci-memo --out target/repro-memo-2 \
-    2>target/repro-memo-2.log || { cat target/repro-memo-2.log; exit 1; }
-cat target/repro-memo-2.log
-run grep -q "(8 memoized, 0 simulated)" target/repro-memo-2.log
-for pass in 1 2; do
-    for f in records.json tables.md tables.tsv; do
-        run cmp "results/smoke/$f" "target/repro-memo-$pass/$f"
-    done
-done
-
 # Topology gate: the N-level tree laws (steal order is a permutation,
 # nearest-domain-first, 2-level trees byte-match the original scan), the
-# partial-last-cluster and pinned-fingerprint regressions, the forged-deep
-# memo-miss case, and the committed deep-topology sweep (3 apps × 5 steal
-# disciplines × {1,8,32,64} processors on the 3-level 64-processor machine)
-# re-swept uncached and drift-checked against results/deep within the same
-# 2% band; records and rendered tables must match byte-for-byte. The sweep
-# is raced against a serial run of the same points: the pooled records
-# must be byte-identical to the serial ones, and with 2 or more workers
-# the pool must finish first (the sweep is long enough to time).
+# partial-last-cluster and pinned-fingerprint regressions, the deep-vs-
+# classic config-string separation, and the committed deep-topology sweep
+# (3 apps × 5 steal disciplines × {1,8,32,64} processors on the 3-level
+# 64-processor machine) re-swept and drift-checked against results/deep
+# within the same 2% band; records and rendered tables must match
+# byte-for-byte.
 run cargo test -q --offline -p cool-core --test topology_props
 run cargo test -q --offline --test topology_tree
 run cargo test -q --offline --test repro_determinism
 rm -rf target/repro-deep
 run cargo run --release --offline -q -p bench --bin repro -- \
-    --deep --no-cache --race-serial --out target/repro-deep \
+    --deep --out target/repro-deep \
     --check results/deep/records.json --tolerance 0.02
 run cmp results/deep/records.json target/repro-deep/records.json
 run cmp results/deep/tables.md target/repro-deep/tables.md
@@ -174,15 +154,16 @@ run cmp results/deep/tables.tsv target/repro-deep/tables.tsv
 
 # Adaptive gate: the feedback-policy behavioural tests (rebalancer recovers
 # a bad placement, inert adaptation is cycle-identical to the static
-# parents, adapt=/rebal= fingerprint segments key their own memo slots, the
-# committed table really contains the claimed dominance), then the adaptive
-# ladder (3 apps × 5 versions × {1,8,32,64} on the deep machine) re-swept
-# uncached and drift-checked against results/adaptive within the same 2%
-# band; records and rendered tables must match byte-for-byte.
+# parents, adapt=/rebal= fingerprint segments give adaptive points their
+# own config strings, the committed table really contains the claimed
+# dominance), then the adaptive ladder (3 apps × 5 versions × {1,8,32,64}
+# on the deep machine) re-swept and drift-checked against results/adaptive
+# within the same 2% band; records and rendered tables must match
+# byte-for-byte.
 run cargo test -q --offline --test adaptive_policies
 rm -rf target/repro-adaptive
 run cargo run --release --offline -q -p bench --bin repro -- \
-    --adaptive --no-cache --out target/repro-adaptive \
+    --adaptive --out target/repro-adaptive \
     --check results/adaptive/records.json --tolerance 0.02
 run cmp results/adaptive/records.json target/repro-adaptive/records.json
 run cmp results/adaptive/tables.md target/repro-adaptive/tables.md
@@ -190,13 +171,17 @@ run cmp results/adaptive/tables.tsv target/repro-adaptive/tables.tsv
 
 # Full reproduction gate: the committed paper matrix (6 apps × version
 # ladders × 1–32 processors at full scale, Panel Cholesky to 24; 102
-# points) re-swept uncached through the pool and drift-checked against
+# points) re-swept on the threaded runtime and drift-checked against
 # results/full within the same 2% band; records and rendered tables must
 # match byte-for-byte. Every figure table is a slice of this matrix, so the
-# step pins build_matrix and the full-scale inputs.
+# step pins build_matrix and the full-scale inputs. The sweep is raced
+# against a serial run of the same points: the runtime's records must be
+# byte-identical to the serial ones, and with 2 or more workers the
+# runtime must finish first (seconds long, so host noise cannot decide it
+# the way it could the sub-second deep sweep).
 rm -rf target/repro-full
 run cargo run --release --offline -q -p bench --bin repro -- \
-    --full --no-cache --out target/repro-full \
+    --full --race-serial --out target/repro-full \
     --check results/full/records.json --tolerance 0.02
 run cmp results/full/records.json target/repro-full/records.json
 run cmp results/full/tables.md target/repro-full/tables.md

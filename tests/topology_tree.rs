@@ -12,7 +12,8 @@ use cool_sim::{MachineConfig, SimConfig, SimRuntime, Task};
 use dash_sim::ContentionConfig;
 
 /// Classic 2-level machines must fingerprint exactly as they did before the
-/// topology-tree generalization — every epoch-2 memo key depends on it.
+/// topology-tree generalization — every epoch-2 record's config string and
+/// hash depends on it.
 #[test]
 fn classic_fingerprints_are_unchanged() {
     assert_eq!(
