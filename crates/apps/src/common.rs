@@ -203,8 +203,8 @@ mod tests {
         assert!(!Version::Distr.hints());
         assert!(Version::Affinity.hints());
         assert!(!Version::Affinity.distributes());
-        assert!(Version::AffinityDistrCluster.policy().cluster_only);
-        assert!(!Version::Base.policy().cluster_only);
+        assert_eq!(Version::AffinityDistrCluster.policy().steal_radius, Some(0));
+        assert_eq!(Version::Base.policy().steal_radius, None);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! * [`AppScale::Small`] — small enough that a full sweep is test-suite
 //!   fast, large enough that stealing, mutex contention and affinity sets
-//!   all occur. Behind the golden-figures TSV, the perf trajectory, the
-//!   committed `analyze_findings.json` and `cool_check.json`, and the
-//!   trace/metrics golden.
+//!   all occur. Behind the golden-figures TSV, the committed
+//!   `analyze_findings.json` and `cool_check.json`, and the trace/metrics
+//!   golden.
 //! * [`AppScale::Full`] — the paper-sized inputs (working sets exceeding
 //!   the simulated caches, as the paper's did) behind the committed
 //!   reproduction tables in `results/full`.

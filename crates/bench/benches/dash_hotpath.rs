@@ -6,12 +6,13 @@
 //!   per-processor lookaside without touching cache sets or directory.
 //! * `strided_cold_misses` — a scan that defeats both cache levels; every
 //!   reference walks probe → fill → directory → monitor.
-//! * `mixed_stream` — the deterministic hit/miss/coherence mix that
-//!   `perfbench` reports as `machine_micro`, at reduced length.
+//! * `mixed_stream` — a deterministic hit/miss/coherence mix: mostly
+//!   repeat hits, a strided scan and a shared line written from a second
+//!   processor.
 //!
-//! Wall-clock numbers for the recorded trajectory come from
-//! `scripts/bench.sh` (which runs `perfbench`); these benches exist for
-//! quick relative comparisons while working on the pipeline.
+//! These benches gate nothing; they exist for quick relative comparisons
+//! while working on the pipeline. The benchmark (`ledger/`) measures the
+//! pipeline's wall time end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -4,9 +4,9 @@
 //! ladder swept over processor counts. [`repro`] is the one way the harness
 //! runs an (app, version, processors) point ([`repro::MatrixPoint::run`] →
 //! [`repro::ReproRecord`]): the `repro` binary sweeps and renders the
-//! matrix, [`perf`] builds the golden TSV and the perf trajectory from its
-//! records, and [`summary`] reads the headline off it. The `figures`
-//! binary prints the exhibits that are not sweeps.
+//! matrix, [`perf`] builds the golden TSV from its records, and [`summary`]
+//! reads the headline off it. The `figures` binary prints the exhibits that
+//! are not sweeps.
 //!
 //! | Paper exhibit | Regenerated by |
 //! |---|---|
@@ -34,13 +34,14 @@ use dash_sim::ContentionConfig;
 
 use repro::MatrixPoint;
 
-/// Experiment scale: `Small` for tests and `perfbench` (scaled-down machine
-/// and inputs), `Full` for the paper reproduction (DASH-sized machine,
-/// inputs that exceed the caches as the paper's did), `Deep` for the
-/// deep-topology sweep (64-processor 3-level SMT/chiplet/socket machine).
+/// Experiment scale: `Small` for tests, the golden sweep and the CI smoke
+/// matrix (scaled-down machine and inputs), `Full` for the paper
+/// reproduction (DASH-sized machine, inputs that exceed the caches as the
+/// paper's did), `Deep` for the deep-topology sweep (64-processor 3-level
+/// SMT/chiplet/socket machine).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Scaled-down machine and inputs for tests and `perfbench`.
+    /// Scaled-down machine and inputs for tests and the golden sweep.
     Small,
     /// DASH-sized machine with cache-exceeding inputs (the paper's figures).
     Full,

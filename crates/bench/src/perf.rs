@@ -1,5 +1,4 @@
-//! The pinned reduced-scale sweep behind the golden-run regression test and
-//! the recorded perf trajectory (`BENCH_*.json`).
+//! The pinned reduced-scale sweep behind the golden-run regression test.
 //!
 //! Everything here is deliberately frozen: the six applications, two
 //! scheduling versions, two processor counts and `Scale::Small` inputs. Each
@@ -8,12 +7,8 @@
 //! (`tests/golden_figures.rs`) asserts the full performance-monitor
 //! breakdown of this sweep byte-for-byte against a committed TSV, so any
 //! change to simulated behaviour — intentional or not — shows up as a diff.
-//! The `perfbench` binary times the same sweep in wall-clock terms and emits
-//! one point of the perf trajectory (refs/sec, wall-clock per app).
+//! Nothing here measures time; the benchmark (`ledger/`) does.
 
-use std::time::Instant;
-
-use apps::driver;
 use apps::Version;
 
 use crate::repro::{self, MatrixPoint, ReproRecord};
@@ -95,189 +90,6 @@ pub fn golden_tsv(records: &[ReproRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Wall-clock measurement of one app's slice of the sweep: total simulated
-/// references, simulated cycles, and the best-of-`repeats` wall time.
-#[derive(Clone, Debug)]
-pub struct AppTiming {
-    /// Application name (or the name of a micro workload).
-    pub app: &'static str,
-    /// Total simulated references issued.
-    pub refs: u64,
-    /// Total simulated cycles.
-    pub sim_cycles: u64,
-    /// Best-of-repeats wall-clock milliseconds.
-    pub wall_ms: f64,
-}
-
-impl AppTiming {
-    /// Simulated references per wall-clock second.
-    pub fn refs_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.refs as f64 / (self.wall_ms / 1000.0)
-        }
-    }
-}
-
-/// Time every app's sweep slice. Each timed region runs the slice `iters`
-/// times back to back (one slice alone finishes in a few milliseconds —
-/// too noisy to gate CI on), and the region is repeated `repeats` times
-/// keeping the fastest wall-clock (the least-noise estimator). Reference
-/// and cycle counts are asserted identical across iterations — the sweep
-/// is deterministic, so any drift is a bug.
-pub fn time_sweep(repeats: u32, iters: u32) -> Vec<AppTiming> {
-    assert!(repeats >= 1 && iters >= 1);
-    let mut out = Vec::new();
-    for app in SWEEP_APPS {
-        let points = sweep_points(app);
-        let mut best_ms = f64::INFINITY;
-        let mut counts: Option<(u64, u64)> = None;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let records = repro::run_serial(&points).0;
-                let refs: u64 = records.iter().map(|r| r.refs).sum();
-                let cycles: u64 = records.iter().map(|r| r.elapsed).sum();
-                match counts {
-                    None => counts = Some((refs, cycles)),
-                    Some(prev) => assert_eq!(
-                        prev,
-                        (refs, cycles),
-                        "sweep of {app} is not deterministic across repeats"
-                    ),
-                }
-            }
-            let ms = t0.elapsed().as_secs_f64() * 1000.0;
-            best_ms = best_ms.min(ms);
-        }
-        let (refs_once, sim_cycles) = counts.expect("at least one repeat");
-        out.push(AppTiming {
-            app,
-            refs: refs_once * u64::from(iters),
-            sim_cycles,
-            wall_ms: best_ms,
-        });
-    }
-    out
-}
-
-/// Raw per-reference pipeline throughput: a deterministic mixed stream of
-/// reads and writes driven straight into a `dash-sim` machine, bypassing
-/// the task scheduler and the apps' native computation. This isolates
-/// exactly the code the hot-path work targets — cache probe, directory,
-/// classification, monitor — and is the headline number of the perf
-/// trajectory. The access mix mirrors the apps: mostly short repeat
-/// references to a working set (cache hits), a strided scan (misses and
-/// evictions), and occasional writes from a second processor
-/// (invalidations).
-pub fn machine_micro(repeats: u32) -> AppTiming {
-    use cool_core::ProcId;
-    use dash_sim::{Machine, MachineConfig};
-
-    assert!(repeats >= 1);
-    const STREAM: u64 = 400_000;
-    let mut best_ms = f64::INFINITY;
-    let mut counts: Option<(u64, u64)> = None;
-    for _ in 0..repeats {
-        let mut m = Machine::new(MachineConfig::dash_small(32));
-        let obj = m.alloc_interleaved(1 << 20);
-        let t0 = Instant::now();
-        let mut cycles = 0u64;
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..STREAM {
-            // xorshift: deterministic, cheap, fixed across runs.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let p = ProcId((x % 32) as usize);
-            let off = match i % 8 {
-                // Hot line: repeat hits on the processor's own region.
-                0..=4 => (p.index() as u64) * 32 * 1024 + (x % 4) * 8,
-                // Strided scan: capacity misses.
-                5 | 6 => (i * 272) % ((1 << 20) - 64),
-                // Shared line: coherence traffic.
-                _ => 512 + (x % 2) * 8,
-            };
-            let at = obj.offset(off);
-            cycles += if i % 5 == 4 {
-                m.write_at(p, at, 8, cycles)
-            } else {
-                m.read_at(p, at, 8, cycles)
-            };
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1000.0;
-        let refs = m.monitor().breakdown().refs;
-        match counts {
-            None => counts = Some((refs, cycles)),
-            Some(prev) => assert_eq!(prev, (refs, cycles), "micro stream not deterministic"),
-        }
-        best_ms = best_ms.min(ms);
-    }
-    let (refs, sim_cycles) = counts.expect("at least one repeat");
-    AppTiming {
-        app: "machine_micro",
-        refs,
-        sim_cycles,
-        wall_ms: best_ms,
-    }
-}
-
-/// Machine-speed calibration: a fixed pure-CPU xorshift reduction, timed
-/// best-of-`repeats`, in ops per second. The perf gate divides the
-/// `machine_micro` throughput by this before comparing against the
-/// baseline's ratio, so run-level machine-state noise (frequency scaling,
-/// noisy neighbours) cancels and the fast-path budget can be tight.
-pub fn calibration_ops_per_sec(repeats: u32) -> f64 {
-    assert!(repeats >= 1);
-    const OPS: u64 = 20_000_000;
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        let mut x = 0x2545f4914f6cdd1du64;
-        let mut acc = 0u64;
-        for _ in 0..OPS {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            acc = acc.wrapping_add(x);
-        }
-        std::hint::black_box(acc);
-        let ms = t0.elapsed().as_secs_f64() * 1000.0;
-        best_ms = best_ms.min(ms);
-    }
-    OPS as f64 / (best_ms / 1000.0)
-}
-
-/// Wall-clock of one serial pass over every app's version ladder at 1, 2,
-/// 4 and 8 processors at `Scale::Small`. (Emitted as
-/// `figures_small_wall_ms`, its name in every `BENCH_*.json`, so the
-/// trajectory stays comparable.)
-pub fn figures_small_wall_ms() -> f64 {
-    let points = repro::build_matrix(&driver::APP_NAMES, None, Some(&[1, 2, 4, 8]), Scale::Small);
-    let (records, wall) = repro::run_serial(&points);
-    assert!(!records.is_empty());
-    wall.as_secs_f64() * 1000.0
-}
-
-/// Wall-clock of one pass over the feedback-driven ladder entries at
-/// `Scale::Small`: the adaptive-steal and rebalancer versions of the three
-/// deep-table apps at 8 processors. Tracks the cost of carrying the
-/// closed-loop layer; emitted as its own JSON key so the static `total`
-/// block (and the baseline gate over it) is untouched.
-pub fn adaptive_small_wall_ms() -> f64 {
-    let versions = [
-        Version::AffinityDistrAdaptive,
-        Version::AffinityDistrRebalance,
-    ];
-    let apps = ["gauss", "ocean", "panel_cholesky"];
-    let mut points = repro::build_matrix(&apps, Some(&versions), Some(&[8]), Scale::Small);
-    points.retain(|p| p.nprocs == 8);
-    let (records, wall) = repro::run_serial(&points);
-    assert!(records.iter().all(|r| r.refs > 0));
-    wall.as_secs_f64() * 1000.0
 }
 
 #[cfg(test)]

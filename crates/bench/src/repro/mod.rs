@@ -35,7 +35,7 @@ pub mod render;
 
 pub use check::{drift, parse_tolerance};
 pub use matrix::{adaptive_matrix, build_matrix, deep_matrix, full_matrix, smoke_matrix, MatrixPoint};
-pub use pool::{run_serial, run_sweep, SweepOutcome};
+pub use pool::{run_serial, run_sweep, SweepError, SweepOutcome};
 pub use record::{
     derive_speedups, fnv1a64, parse_records_doc, records_doc, ReproRecord, REPRO_EPOCH,
     REPRO_SCHEMA,

@@ -38,6 +38,27 @@ pub struct SweepOutcome {
     pub trace: EventLog,
 }
 
+/// A sweep whose runtime scope failed: the scope's error (e.g. each
+/// panicking task's message) and the labels of the points whose record
+/// never arrived, which the panic text need not name.
+#[derive(Debug)]
+pub struct SweepError {
+    /// Why the runtime scope failed.
+    pub scope: ScopeError,
+    /// [`MatrixPoint::label`] of every point that sent no record, in matrix
+    /// order.
+    pub unfinished: Vec<String>,
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let unfinished = self.unfinished.join(", ");
+        write!(f, "{}; unfinished: {unfinished}", self.scope)
+    }
+}
+
+impl std::error::Error for SweepError {}
+
 /// Number of workers for `jobs` requested (0 = auto) and `npoints` jobs.
 pub fn effective_workers(jobs: usize, npoints: usize) -> usize {
     let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -48,19 +69,19 @@ pub fn effective_workers(jobs: usize, npoints: usize) -> usize {
 /// Run every point as a task on a runtime with one server per worker
 /// (`jobs` of them; 0 means one per host CPU), printing progress lines to
 /// stderr when `progress` is set. A point that panics fails the sweep with
-/// its panic message.
+/// its panic message and its label.
 pub fn run_sweep(
     points: &[MatrixPoint],
     jobs: usize,
     progress: bool,
-) -> Result<SweepOutcome, ScopeError> {
+) -> Result<SweepOutcome, SweepError> {
     let workers = effective_workers(jobs, points.len());
     let epoch = Instant::now();
     let rt = Runtime::new(RtConfig::new(workers).with_trace());
     let mut meter = progress.then(|| ProgressMeter::new(points.len(), 0, 2_000));
     let mut slots: Vec<Option<ReproRecord>> = vec![None; points.len()];
     let (tx, rx) = mpsc::channel();
-    rt.scope(|s| {
+    let scope = rt.scope(|s| {
         for (i, &point) in points.iter().enumerate() {
             let tx = tx.clone();
             s.spawn(
@@ -82,7 +103,16 @@ pub fn run_sweep(
                 eprintln!("repro: {line}");
             }
         }
-    })?;
+    });
+    if let Err(scope) = scope {
+        let unfinished = points
+            .iter()
+            .zip(&slots)
+            .filter(|(_, rec)| rec.is_none())
+            .map(|(p, _)| p.label())
+            .collect();
+        return Err(SweepError { scope, unfinished });
+    }
     let wall = epoch.elapsed();
     let mut records: Vec<ReproRecord> = slots
         .into_iter()
@@ -161,6 +191,25 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.starts_with("1 task(s) panicked"), "{msg}");
         assert!(msg.contains("unknown app \"bogus\""), "{msg}");
+    }
+
+    #[test]
+    fn a_failed_sweep_names_its_unfinished_points() {
+        // The machine's panic ("1..=64 processors") names no point, so only
+        // the sweep's own bookkeeping can say which one failed.
+        let mut points = tiny_matrix();
+        points.insert(
+            1,
+            MatrixPoint {
+                nprocs: 65,
+                ..points[0]
+            },
+        );
+        let err = run_sweep(&points, 2, false).expect_err("65 processors panics");
+        let msg = err.to_string();
+        assert!(msg.starts_with("1 task(s) panicked"), "{msg}");
+        assert!(msg.ends_with("; unfinished: gauss/Base@65(small)"), "{msg}");
+        assert_eq!(err.unfinished, ["gauss/Base@65(small)"]);
     }
 
     #[test]

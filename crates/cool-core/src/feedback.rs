@@ -8,7 +8,7 @@
 //! queue depths, and folds them into three controls —
 //!
 //! * **steal-ceiling widening** — a [`StealPolicy`](crate::StealPolicy)
-//!   locality ceiling (`cluster_only`, `steal_radius`) is lifted by
+//!   locality ceiling (`steal_radius`) is lifted by
 //!   [`PolicyFeedback::extra_levels`] while the observed failed-scan rate
 //!   shows starvation, and decays back once steals succeed again;
 //! * **migration throttling** — `migrate` requests are honoured only while

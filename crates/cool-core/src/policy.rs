@@ -255,19 +255,18 @@ pub struct StealPolicy {
     /// cache locality"). When false, thieves take a single task even from
     /// affinity slots — the ablation shows the cache-reuse cost.
     pub steal_whole_sets: bool,
-    /// Restrict stealing to processors within the thief's cluster, so stolen
-    /// tasks still reference the destination object in local memory
-    /// (the `Distr+Aff+ClusterStealing` experiment of Section 6.3).
-    pub cluster_only: bool,
     /// After this many consecutive failed scans an idle server performs a
     /// last-resort steal ignoring `avoid_object_affinity`, guaranteeing
-    /// progress (locality boundaries — `cluster_only`, `steal_radius` — stay
-    /// strict; `polite_widening` widens itself as scans fail).
+    /// progress (the locality ceiling `steal_radius` stays strict;
+    /// `polite_widening` widens itself as scans fail).
     pub last_resort_after: usize,
-    /// Topology-aware generalization of `cluster_only`: victims whose common
-    /// ancestor with the thief is more than this many levels above the
-    /// cluster level are never stolen from. `Some(0)` is equivalent to
-    /// `cluster_only`; `None` leaves the machine unrestricted.
+    /// Locality ceiling: victims whose common ancestor with the thief is
+    /// more than this many levels above the cluster level are never stolen
+    /// from. `Some(0)` restricts stealing to the thief's cluster, so stolen
+    /// tasks still reference the destination object in local memory (the
+    /// `Distr+Aff+ClusterStealing` experiment of Section 6.3, see
+    /// [`StealPolicy::cluster_only`]); `None` leaves the machine
+    /// unrestricted.
     pub steal_radius: Option<usize>,
     /// Widen the steal domain politely, one topology level per consecutive
     /// failed scan: the first scan probes only nearest-neighbour domains,
@@ -281,7 +280,6 @@ impl Default for StealPolicy {
             enabled: true,
             avoid_object_affinity: true,
             steal_whole_sets: true,
-            cluster_only: false,
             last_resort_after: 2,
             steal_radius: None,
             polite_widening: false,
@@ -291,19 +289,20 @@ impl Default for StealPolicy {
 
 impl StealPolicy {
     /// A compact, stable fingerprint of the policy knobs, recorded in each
-    /// `cool-repro` record's config string as provenance. Topology-aware
-    /// knobs append segments only when set, so classic policies keep their
-    /// historical fingerprint.
+    /// `cool-repro` record's config string as provenance. A radius of 0
+    /// prints as the classic `cluster=1`; topology-aware knobs (a radius of
+    /// 1 or more, widening) append segments only when set, so classic
+    /// policies keep their historical fingerprint.
     pub fn fingerprint(&self) -> String {
         let mut s = format!(
             "steal={} avoid={} sets={} cluster={} lr={}",
             u8::from(self.enabled),
             u8::from(self.avoid_object_affinity),
             u8::from(self.steal_whole_sets),
-            u8::from(self.cluster_only),
+            u8::from(self.steal_radius == Some(0)),
             self.last_resort_after,
         );
-        if let Some(r) = self.steal_radius {
+        if let Some(r @ 1..) = self.steal_radius {
             s.push_str(&format!(" rad={r}"));
         }
         if self.polite_widening {
@@ -320,17 +319,15 @@ impl StealPolicy {
         }
     }
 
-    /// Default stealing with the cluster-only restriction enabled.
+    /// Default stealing restricted to the thief's cluster:
+    /// [`StealPolicy::with_radius`]`(0)`.
     pub fn cluster_only() -> Self {
-        StealPolicy {
-            cluster_only: true,
-            ..Self::default()
-        }
+        Self::with_radius(0)
     }
 
     /// Default stealing bounded to `radius` levels above the cluster level
-    /// (`with_radius(0)` is [`StealPolicy::cluster_only`] by another name;
-    /// `with_radius(1)` allows the enclosing socket, and so on).
+    /// (`with_radius(0)` is [`StealPolicy::cluster_only`]; `with_radius(1)`
+    /// allows the enclosing socket, and so on).
     pub fn with_radius(radius: usize) -> Self {
         StealPolicy {
             steal_radius: Some(radius),
@@ -348,19 +345,16 @@ impl StealPolicy {
 
     /// The highest common-ancestor level a thief may currently steal across:
     /// victims with [`Topology::common_level`] above this are skipped
-    /// (without even a probe, exactly like the original `cluster_only`
-    /// check). `cluster_only` pins the ceiling at the memory level and
-    /// `steal_radius` at `mem_level + radius` — both strict, desperation
-    /// never lifts a locality boundary. `polite_widening` starts the ceiling
-    /// at level 0 and raises it one level per consecutive failed scan.
+    /// (without even a probe). `steal_radius` pins the ceiling at
+    /// `mem_level + radius` (the memory level itself for cluster-only
+    /// stealing) — strict, desperation never lifts a locality boundary.
+    /// `polite_widening` starts the ceiling at level 0 and raises it one
+    /// level per consecutive failed scan.
     #[inline]
     pub fn allowed_level(&self, topo: &Topology, failed_scans: usize) -> usize {
         let mut ceiling = usize::MAX;
-        if self.cluster_only {
-            ceiling = topo.mem_level();
-        }
         if let Some(r) = self.steal_radius {
-            ceiling = ceiling.min(topo.mem_level().saturating_add(r));
+            ceiling = topo.mem_level().saturating_add(r);
         }
         if self.polite_widening {
             ceiling = ceiling.min(failed_scans);

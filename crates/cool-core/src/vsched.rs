@@ -115,8 +115,8 @@ pub enum QueueDefect {
     /// Duplicate the first task of every stolen batch. Caught by the
     /// exactly-once execution invariant.
     DupOnSteal,
-    /// Scan as if the policy had no locality ceiling (`cluster_only` and
-    /// `steal_radius` off). Caught by the steal-ceiling invariant.
+    /// Scan as if the policy had no locality ceiling (`steal_radius`
+    /// off). Caught by the steal-ceiling invariant.
     StealPastCeiling,
 }
 
@@ -156,7 +156,7 @@ pub enum QueueOp {
 /// * task conservation — `pushed == executed + queued` at all times;
 /// * exactly-once execution — no task id is ever popped twice;
 /// * steal ceiling — no steal crosses the policy's strict locality
-///   boundary (`cluster_only`, `steal_radius`).
+///   boundary (`steal_radius`).
 ///
 /// Terminal states additionally require that every pushed task was
 /// executed (nothing stranded, nothing lost).
@@ -276,7 +276,6 @@ impl VirtualProgram for QueueMachine {
                 self.steal_budget = self.steal_budget.checked_sub(1).expect("steal enabled");
                 let policy = match self.defect {
                     QueueDefect::StealPastCeiling => StealPolicy {
-                        cluster_only: false,
                         steal_radius: None,
                         ..self.policy
                     },

@@ -58,18 +58,19 @@ const MUTEX_PARK_AFTER: usize = 16;
 /// [`MUTEX_PARK_AFTER`] consecutive rotations.
 const MUTEX_PARK: Duration = Duration::from_micros(50);
 
+/// Affinity-queue array size per server.
+const AFFINITY_SLOTS: usize = 64;
+
 /// Configuration for the threaded runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RtConfig {
-    /// Worker threads (servers).
-    pub nthreads: usize,
-    /// Processors per scheduling cluster (affects steal order and the
-    /// cluster-only policy; purely logical on a UMA host).
-    pub procs_per_cluster: usize,
+    /// The machine tree the workers run on: one worker thread (server) per
+    /// processor, `topology.nservers` of them. Its levels set the steal
+    /// order and the domains the [`StealPolicy`] ceilings bound (purely
+    /// logical on a UMA host).
+    pub topology: Topology,
     /// Steal policy.
     pub policy: StealPolicy,
-    /// Affinity-queue array size per server.
-    pub affinity_slots: usize,
     /// If set, run a watchdog thread that dumps diagnostics whenever a scope
     /// is open but no task has completed for this long.
     pub stall_timeout: Option<Duration>,
@@ -78,31 +79,26 @@ pub struct RtConfig {
     /// since runtime startup. Off by default: when disabled every emission
     /// site is a single branch.
     pub record_trace: bool,
-    /// Full machine tree override. `None` (the default) derives the classic
-    /// 2-level topology from `nthreads` × `procs_per_cluster`; `Some` runs
-    /// the workers on an N-level tree (see [`Topology::tree`]) so the
-    /// per-level steal knobs of [`StealPolicy`] have levels to widen over.
-    pub topology: Option<Topology>,
 }
 
 impl RtConfig {
-    /// Sensible defaults for `nthreads` workers.
+    /// Sensible defaults for `nthreads` workers: the classic 2-level
+    /// machine of 4-processor clusters ([`Topology::clustered`]).
     pub fn new(nthreads: usize) -> Self {
         RtConfig {
-            nthreads,
-            procs_per_cluster: 4,
+            topology: Topology::clustered(nthreads, 4),
             policy: StealPolicy::default(),
-            affinity_slots: 64,
             stall_timeout: None,
             record_trace: false,
-            topology: None,
         }
     }
 
-    /// Run the workers on an explicit machine tree (builder style). The
-    /// tree's processor count must equal `nthreads`.
+    /// Run the workers on an explicit machine tree (builder style), e.g. an
+    /// N-level [`Topology::tree`] so the per-level steal knobs of
+    /// [`StealPolicy`] have levels to widen over. The worker count becomes
+    /// the tree's processor count.
     pub fn with_topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
+        self.topology = topo;
         self
     }
 
@@ -376,11 +372,11 @@ struct Own {
 }
 
 impl Server {
-    fn new(affinity_slots: usize) -> Self {
+    fn new() -> Self {
         Server {
             inbox: CachePadded::new(Inbox {
                 queue: Mutex::new(Queue {
-                    tasks: ServerQueues::new(affinity_slots),
+                    tasks: ServerQueues::new(AFFINITY_SLOTS),
                     spawned: 0,
                 }),
                 sleeping: AtomicBool::new(false),
@@ -560,7 +556,7 @@ impl Drop for OpenScopeGuard<'_> {
 }
 
 impl Runtime {
-    /// Start `cfg.nthreads` workers.
+    /// Start one worker per processor of `cfg.topology`.
     pub fn new(cfg: RtConfig) -> Self {
         Self::build(cfg, None)
     }
@@ -574,35 +570,28 @@ impl Runtime {
     }
 
     fn build(cfg: RtConfig, plan: Option<FaultPlan>) -> Self {
-        assert!(cfg.nthreads >= 1);
-        let topology = cfg
-            .topology
-            .unwrap_or_else(|| Topology::clustered(cfg.nthreads, cfg.procs_per_cluster));
-        assert_eq!(
-            topology.nservers, cfg.nthreads,
-            "topology processor count must equal nthreads"
-        );
+        let topology = cfg.topology;
+        let nthreads = topology.nservers;
+        assert!(nthreads >= 1);
         let inner = Arc::new(Inner {
-            servers: (0..cfg.nthreads)
-                .map(|_| Server::new(cfg.affinity_slots))
-                .collect(),
+            servers: (0..nthreads).map(|_| Server::new()).collect(),
             victims: topology.victim_orders(),
             topology,
             policy: cfg.policy,
             placement: Placement::new(),
             held: HeldSet::new(),
-            faults: plan.map(|p| FaultInjector::new(p, cfg.nthreads)),
+            faults: plan.map(|p| FaultInjector::new(p, nthreads)),
             opened: AtomicU64::new(0),
             open_scopes: AtomicUsize::new(0),
             dumps: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
             obs: Recorder::new(
                 if cfg.record_trace { Recording::Trace } else { Recording::Off },
-                cfg.nthreads,
+                nthreads,
             ),
             epoch: Instant::now(),
         });
-        let workers = (0..cfg.nthreads)
+        let workers = (0..nthreads)
             .map(|p| {
                 let inner = inner.clone();
                 std::thread::Builder::new()

@@ -122,7 +122,6 @@ fn mutexes_on_distinct_objects_do_not_serialize_everything() {
 #[test]
 fn cluster_only_policy_never_crosses_clusters() {
     let mut cfg = RtConfig::new(8);
-    cfg.procs_per_cluster = 4;
     cfg.policy = StealPolicy::cluster_only();
     let rt = Runtime::new(cfg);
     let count = Arc::new(AtomicUsize::new(0));

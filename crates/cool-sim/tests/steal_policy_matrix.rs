@@ -1,5 +1,5 @@
 //! Exhaustive behavioural matrix for the steal policies: every combination
-//! of {enabled, avoid_object_affinity, steal_whole_sets, cluster_only} is
+//! of {enabled, avoid_object_affinity, steal_whole_sets, cluster-only} is
 //! run over the same workload and checked against the paper's rules.
 
 use std::cell::RefCell;
@@ -70,7 +70,7 @@ fn every_policy_combination_completes_all_tasks() {
                         enabled,
                         avoid_object_affinity: avoid,
                         steal_whole_sets: whole,
-                        cluster_only: cluster,
+                        steal_radius: cluster.then_some(0),
                         last_resort_after: 2,
                         ..StealPolicy::default()
                     };

@@ -78,7 +78,10 @@ run cargo run --release --offline -q -p bench --bin cool-serve -- \
 # scale, run through the same MatrixPoint::run as every sweep) must match
 # the committed TSV byte-for-byte (the workspace test run above already
 # includes it; running it by name makes a golden failure unmistakable in
-# the log).
+# the log). golden_figures is the exact-count gate: it pins every point's
+# refs and simulated cycles, whose sums the removed perf step checked
+# against a committed baseline. Wall time is the benchmark's (ledger/) to
+# measure.
 run cargo test -q --offline --test golden_figures
 
 # Contention gate: the engine's resources must satisfy the M/D/1 closed
@@ -106,12 +109,6 @@ run cargo test -q --release --offline -p cool-rt
 run cargo test -q --release --offline --test threaded_matches_simulated
 run cargo test -q --release --offline --test fault_determinism
 run cargo test -q --release --offline --test serve_chaos
-
-# Perf gate: single-repeat sweep validated against the committed
-# BENCH_8.json — schema check, exact simulated refs/cycles, a hard
-# failure on a >25% wall-clock regression at the pinned scale, and a ≤5%
-# refs/sec budget on the zero-contention machine_micro fast path.
-run scripts/bench.sh --smoke
 
 # Docs gate: rustdoc for the whole workspace must build warning-free —
 # this catches broken intra-doc links and (via cool-core's
