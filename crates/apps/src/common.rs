@@ -1,6 +1,6 @@
 //! Conventions shared by the case studies.
 
-use cool_core::{AdaptiveConfig, EventLog, RebalanceConfig, StealPolicy};
+use cool_core::{AdaptiveConfig, EventLog, RebalanceConfig, StealPolicy, Topology};
 use cool_sim::{MachineConfig, RunReport, SimConfig};
 
 /// The scheduling versions the paper's figures compare. Not every app uses
@@ -165,8 +165,10 @@ pub fn sim_config_small(nprocs: usize, version: Version) -> SimConfig {
 /// barely moves anything, whereas flat topology makes local-vs-remote
 /// classification crisp.
 pub fn sim_config_small_flat(nprocs: usize, version: Version) -> SimConfig {
-    let mut m = MachineConfig::dash_small(nprocs);
-    m.procs_per_cluster = 1;
+    let m = MachineConfig {
+        topology: Topology::flat(nprocs),
+        ..MachineConfig::dash_small(nprocs)
+    };
     apply_version(SimConfig::new(m), version)
 }
 

@@ -469,6 +469,13 @@ impl Flags {
         self.try_parsed(flag, takes, parse).unwrap_or_else(|e| self.fail(&e))
     }
 
+    /// Every flag given, switches first, then options, each in the order
+    /// parsed.
+    pub fn given(&self) -> impl Iterator<Item = &str> {
+        let options = self.values.iter().map(|(f, _)| f);
+        self.switches.iter().chain(options).map(String::as_str)
+    }
+
     /// Whether the switch `flag` was given.
     pub fn has(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
@@ -519,6 +526,7 @@ mod tests {
         assert_eq!(f.value("--out"), Some("d2"), "the last value wins");
         assert_eq!(f.value("--procs"), None);
         assert_eq!(f.positional(), ["report.json".to_string()]);
+        assert_eq!(f.given().collect::<Vec<_>>(), ["--smoke", "--out", "--out"]);
         assert_eq!(parse(&[]), Ok(Some(Flags::default())));
         assert_eq!(parse(&["--smoke", "--help"]), Ok(None), "--help wins");
         assert_eq!(parse(&["--smok"]), Err("unknown flag --smok".into()));

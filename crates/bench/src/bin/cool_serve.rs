@@ -14,7 +14,8 @@
 //! fault-free replay. `--faults` arms the pinned chaos plan in either
 //! profile. The `--require-*` flags turn report facts into exit-status
 //! gates; `--check FILE` validates an existing document (schema, accounting
-//! invariants, canonical byte form) without running anything.
+//! invariants, canonical byte form) without running anything, so it takes
+//! no other flag.
 
 use apps::driver::Flags;
 use bench::serve::{run_load, smoke_config, validate_serve_json, LoadConfig, ServeReport};
@@ -41,6 +42,9 @@ fn main() {
     let seed: u64 = flags.parsed("--seed", "an integer", |v| v.parse().ok()).unwrap_or(42);
 
     if let Some(path) = opt_value("--check") {
+        if let Some(f) = flags.given().find(|&f| f != "--check") {
+            flags.fail(&format!("--check runs nothing and takes no {f}"));
+        }
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
         match validate_serve_json(&text) {

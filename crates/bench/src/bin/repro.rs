@@ -33,7 +33,7 @@
 //!   of them, the whole matrix at small scale.
 //! * `--jobs N` — runtime servers, one host thread each (default: one per
 //!   host CPU).
-//! * `--serial` — run on a single server.
+//! * `--serial` — run on a single server (not with `--jobs`).
 //! * `--race-serial` — run the matrix twice, serially then on the runtime,
 //!   assert byte-identical records, and fail unless the runtime is faster
 //!   with 2 or more servers.
@@ -54,7 +54,7 @@ use bench::Scale;
 
 const USAGE: &str = "usage: repro [--smoke | --full | --deep | --adaptive | \
 [--apps A,B] [--versions L1,L2] [--procs 1,4] [--scale small|full|deep]] \
-[--jobs N] [--serial] [--race-serial] [--out DIR] \
+[--jobs N | --serial] [--race-serial] [--out DIR] \
 [--check FILE [--tolerance F]] [--trace-out BASE]";
 
 fn main() -> ExitCode {
@@ -92,6 +92,13 @@ fn main() -> ExitCode {
         apps::driver::proc_list,
     );
     let jobs: Option<usize> = flags.parsed("--jobs", "a number", |v| v.parse().ok());
+    // A flag the run would ignore is an error, not a no-op.
+    if flags.value("--tolerance").is_some() && flags.value("--check").is_none() {
+        flags.fail("--tolerance is the --check band and takes effect only with --check");
+    }
+    if has("--serial") && jobs.is_some() {
+        flags.fail("--serial runs one server and takes no --jobs");
+    }
 
     // A preset is a pinned matrix: it takes no second preset and no slice flag.
     let presets: Vec<&str> = ["--smoke", "--full", "--deep", "--adaptive"]

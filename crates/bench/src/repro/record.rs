@@ -1,10 +1,11 @@
 //! The `cool-repro-v1` record: one matrix point's measurements, as a
 //! byte-stable JSON object.
 //!
-//! Like `cool-metrics-v1` and `cool-bench-v1`, the writer is hand-rolled
+//! Like `cool-metrics-v1` and `cool-serve-v1`, the writer is hand-rolled
 //! string formatting over a fixed key order (the offline build has no JSON
-//! dependency), and the reader is a small line-oriented parser that accepts
-//! exactly the documents the writer produces. Round-tripping a record
+//! dependency), and the reader is the line-oriented flat-object parser the
+//! `cool-serve-v1` report shares, which accepts exactly the documents the
+//! writers produce. Round-tripping a record
 //! through [`ReproRecord::to_json`] / [`ReproRecord::parse`] is the
 //! identity on bytes — the CI drift gate and the byte-for-byte `cmp` of
 //! regenerated results both rely on that.
@@ -14,6 +15,8 @@
 //! keys: every sweep simulates every point.
 
 use apps::{AppReport, Version};
+
+use crate::flat::{canon6, FlatObject};
 
 /// Schema tag stamped into every record and document.
 pub const REPRO_SCHEMA: &str = "cool-repro-v1";
@@ -29,14 +32,6 @@ pub const REPRO_SCHEMA: &str = "cool-repro-v1";
 /// (bus/net/directory/memory resources with queueing), and records
 /// carry `wait_cycles` / `peak_occ`.
 pub const REPRO_EPOCH: u32 = 2;
-
-/// Canonicalize a float to the precision the JSON writer emits, so a
-/// record holds exactly what its serialization holds and
-/// serialize→parse is the identity on the struct (the determinism tests
-/// and the drift gate compare records, not just documents).
-fn canon6(x: f64) -> f64 {
-    format!("{x:.6}").parse().expect("formatted float reparses")
-}
 
 fn canon3e(x: f64) -> f64 {
     format!("{x:.3e}").parse().expect("formatted float reparses")
@@ -203,82 +198,35 @@ impl ReproRecord {
     /// Parse one record object (the exact shape [`ReproRecord::to_json`]
     /// writes). Returns a description of the first problem found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(text)?;
-        let get = |k: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let get_str = |k: &str| -> Result<String, String> {
-            let v = get(k)?;
-            let v = v
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("field {k:?} is not a string: {v}"))?;
-            Ok(v.to_string())
-        };
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .parse::<u64>()
-                .map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_f64 = |k: &str| -> Result<f64, String> {
-            get(k)?
-                .parse::<f64>()
-                .map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let schema = get_str("schema")?;
+        let f = FlatObject::parse(text)?;
+        let schema = f.string("schema")?;
         if schema != REPRO_SCHEMA {
             return Err(format!("schema {schema:?}, expected {REPRO_SCHEMA:?}"));
         }
         Ok(ReproRecord {
-            app: get_str("app")?,
-            series: get_str("series")?,
-            nprocs: get_u64("nprocs")? as usize,
-            scale: get_str("scale")?,
-            config: get_str("config")?,
-            hash: get_str("hash")?,
-            speedup: get_f64("speedup")?,
-            elapsed: get_u64("elapsed")?,
-            busy: get_u64("busy")?,
-            idle: get_u64("idle")?,
-            overhead: get_u64("overhead")?,
-            refs: get_u64("refs")?,
-            l1_hits: get_u64("l1_hits")?,
-            l2_hits: get_u64("l2_hits")?,
-            local_misses: get_u64("local_misses")?,
-            remote_misses: get_u64("remote_misses")?,
-            invalidations: get_u64("invalidations")?,
-            wait_cycles: get_u64("wait_cycles")?,
-            peak_occ: get_u64("peak_occ")?,
-            adherence: get_f64("adherence")?,
-            max_error: get_f64("max_error")?,
+            app: f.string("app")?,
+            series: f.string("series")?,
+            nprocs: f.scalar("nprocs")?,
+            scale: f.string("scale")?,
+            config: f.string("config")?,
+            hash: f.string("hash")?,
+            speedup: f.scalar("speedup")?,
+            elapsed: f.scalar("elapsed")?,
+            busy: f.scalar("busy")?,
+            idle: f.scalar("idle")?,
+            overhead: f.scalar("overhead")?,
+            refs: f.scalar("refs")?,
+            l1_hits: f.scalar("l1_hits")?,
+            l2_hits: f.scalar("l2_hits")?,
+            local_misses: f.scalar("local_misses")?,
+            remote_misses: f.scalar("remote_misses")?,
+            invalidations: f.scalar("invalidations")?,
+            wait_cycles: f.scalar("wait_cycles")?,
+            peak_occ: f.scalar("peak_occ")?,
+            adherence: f.scalar("adherence")?,
+            max_error: f.scalar("max_error")?,
         })
     }
-}
-
-/// Split a flat (no nested objects/arrays) JSON object into raw
-/// `(key, value)` pairs, one per line as the writers emit them.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line.is_empty() || line == "{" || line == "}" {
-            continue;
-        }
-        let Some((k, v)) = line.split_once(':') else {
-            return Err(format!("unparseable line {line:?}"));
-        };
-        let k = k
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("bad key in line {line:?}"))?;
-        out.push((k.to_string(), v.trim().to_string()));
-    }
-    Ok(out)
 }
 
 /// Serialise a whole sweep as a `cool-repro-v1` matrix document: a header

@@ -17,7 +17,8 @@
 //! completed requests (the conservation invariant).
 //!
 //! Like `cool-metrics-v1` / `cool-repro-v1`, the report writer is
-//! hand-rolled with a fixed key order and canonical number formatting, and
+//! hand-rolled with a fixed key order and canonical number formatting, the
+//! reader is the flat-object parser `cool-repro-v1` records use, and
 //! `parse(to_json(r)) == r` / `to_json(parse(s)) == s` are identities — the
 //! CI smoke gate relies on that.
 
@@ -27,6 +28,8 @@ use apps::driver::AppScale;
 use apps::serve_adapter::RouteRequestSet;
 use cool_core::{EventLog, FaultPlan};
 use cool_rt::serve::{Outcome, Request, ServeConfig, SubmitError, WorkServer};
+
+use crate::flat::{canon6, FlatObject};
 
 /// Schema tag stamped into every report.
 pub const SERVE_SCHEMA: &str = "cool-serve-v1";
@@ -162,10 +165,6 @@ pub struct ServeReport {
     pub wall_ms: u64,
     /// `"ok"` or the conservation-check failure description.
     pub conservation: String,
-}
-
-fn canon6(x: f64) -> f64 {
-    format!("{x:.6}").parse().expect("formatted float reparses")
 }
 
 /// Nearest-rank percentile over an ascending-sorted slice (0 on empty).
@@ -334,80 +333,42 @@ impl ServeReport {
     /// Parse the exact shape [`ServeReport::to_json`] writes. Returns the
     /// first problem found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut fields: Vec<(String, String)> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.is_empty() || line == "{" || line == "}" {
-                continue;
-            }
-            let Some((k, v)) = line.split_once(':') else {
-                return Err(format!("unparseable line {line:?}"));
-            };
-            let k = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| format!("bad key in line {line:?}"))?;
-            fields.push((k.to_string(), v.trim().to_string()));
-        }
-        let get = |k: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let get_str = |k: &str| -> Result<String, String> {
-            let v = get(k)?;
-            v.strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| format!("field {k:?} is not a string: {v}"))
-        };
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            get(k)?.parse::<u64>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_f64 = |k: &str| -> Result<f64, String> {
-            get(k)?.parse::<f64>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let get_bool = |k: &str| -> Result<bool, String> {
-            get(k)?.parse::<bool>().map_err(|e| format!("field {k:?}: {e}"))
-        };
-        let schema = get_str("schema")?;
+        let f = FlatObject::parse(text)?;
+        let schema = f.string("schema")?;
         if schema != SERVE_SCHEMA {
             return Err(format!("schema {schema:?}, expected {SERVE_SCHEMA:?}"));
         }
         Ok(ServeReport {
-            app: get_str("app")?,
-            scale: get_str("scale")?,
-            seed: get_u64("seed")?,
-            requests: get_u64("requests")?,
-            domains: get_u64("domains")?,
-            workers_per_domain: get_u64("workers_per_domain")?,
-            queue_capacity: get_u64("queue_capacity")?,
-            max_attempts: get_u64("max_attempts")?,
-            mean_interarrival_us: get_u64("mean_interarrival_us")?,
-            chaos: get_bool("chaos")?,
-            submitted: get_u64("submitted")?,
-            admitted: get_u64("admitted")?,
-            shed: get_u64("shed")?,
-            completed: get_u64("completed")?,
-            failed: get_u64("failed")?,
-            timed_out: get_u64("timed_out")?,
-            lost: get_u64("lost")?,
-            double_executed: get_u64("double_executed")?,
-            retries: get_u64("retries")?,
-            injected_failures: get_u64("injected_failures")?,
-            intake_stalls: get_u64("intake_stalls")?,
-            pool_restarts: get_u64("pool_restarts")?,
-            p50_us: get_u64("p50_us")?,
-            p99_us: get_u64("p99_us")?,
-            p999_us: get_u64("p999_us")?,
-            max_us: get_u64("max_us")?,
-            offered_rps: get_f64("offered_rps")?,
-            goodput_rps: get_f64("goodput_rps")?,
-            wall_ms: get_u64("wall_ms")?,
-            conservation: get_str("conservation")?,
+            app: f.string("app")?,
+            scale: f.string("scale")?,
+            seed: f.scalar("seed")?,
+            requests: f.scalar("requests")?,
+            domains: f.scalar("domains")?,
+            workers_per_domain: f.scalar("workers_per_domain")?,
+            queue_capacity: f.scalar("queue_capacity")?,
+            max_attempts: f.scalar("max_attempts")?,
+            mean_interarrival_us: f.scalar("mean_interarrival_us")?,
+            chaos: f.scalar("chaos")?,
+            submitted: f.scalar("submitted")?,
+            admitted: f.scalar("admitted")?,
+            shed: f.scalar("shed")?,
+            completed: f.scalar("completed")?,
+            failed: f.scalar("failed")?,
+            timed_out: f.scalar("timed_out")?,
+            lost: f.scalar("lost")?,
+            double_executed: f.scalar("double_executed")?,
+            retries: f.scalar("retries")?,
+            injected_failures: f.scalar("injected_failures")?,
+            intake_stalls: f.scalar("intake_stalls")?,
+            pool_restarts: f.scalar("pool_restarts")?,
+            p50_us: f.scalar("p50_us")?,
+            p99_us: f.scalar("p99_us")?,
+            p999_us: f.scalar("p999_us")?,
+            max_us: f.scalar("max_us")?,
+            offered_rps: f.scalar("offered_rps")?,
+            goodput_rps: f.scalar("goodput_rps")?,
+            wall_ms: f.scalar("wall_ms")?,
+            conservation: f.string("conservation")?,
         })
     }
 

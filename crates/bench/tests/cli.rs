@@ -1,8 +1,9 @@
 //! Command lines the harness binaries reject or complete. Every binary
 //! rejects a malformed flag value the way it rejects an unknown flag, and
 //! `repro` rejects conflicting matrix selectors and the retired cache flags
-//! the same way: the problem and the usage on stderr, exit status 2, and
-//! nothing run. `figures` with only modifiers prints every exhibit.
+//! the same way, as both binaries reject a flag the command would ignore:
+//! the problem and the usage on stderr, exit status 2, and nothing run.
+//! `figures` with only modifiers prints every exhibit.
 
 use std::process::Command;
 
@@ -84,6 +85,61 @@ fn repro_rejects_the_retired_cache_flags() {
             "repro {args:?} ran: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_flag_the_command_would_ignore_prints_usage_and_exits_2() {
+    // `cool-serve --check` validates a report and runs nothing, so it
+    // would write no `--out` and check no `--require-*`; `repro` applies
+    // `--tolerance` only to `--check`, and `--serial` overrides `--jobs`.
+    let serve = env!("CARGO_BIN_EXE_cool-serve");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let dir = std::env::temp_dir().join(format!("cli-ignored-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("make temp dir");
+    let report = dir.join("serve.json");
+    let report_arg = report.to_str().expect("utf-8 temp path");
+    let out = dir.join("out.json");
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    let made = Command::new(serve)
+        .args(["--smoke", "--faults", "--out", report_arg])
+        .output()
+        .expect("run cool-serve");
+    assert!(
+        made.status.success(),
+        "{}",
+        String::from_utf8_lossy(&made.stderr)
+    );
+    let cases: [(&str, &[&str]); 3] = [
+        (
+            serve,
+            &[
+                "--check",
+                report_arg,
+                "--smoke",
+                "--require-shed",
+                "--out",
+                out_arg,
+            ],
+        ),
+        (repro, &["--smoke", "--tolerance", "0.5"]),
+        (repro, &["--smoke", "--serial", "--jobs", "3"]),
+    ];
+    for (bin, args) in cases {
+        let run = Command::new(bin).args(args).output().expect("run binary");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: ") && stderr.contains("usage:"),
+            "{bin} {args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("matrix points") && !stderr.contains("valid"),
+            "{bin} {args:?} ran: {stderr}"
+        );
+        assert!(run.stdout.is_empty(), "{bin} {args:?} ran");
+    }
+    assert!(!out.exists(), "a rejected command line wrote {out_arg}");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 #[test]

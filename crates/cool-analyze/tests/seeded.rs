@@ -13,14 +13,16 @@
 //! DAGs and asserts no false positives.
 
 use cool_analyze::{analyze_all, analyze_events, analyze_locks, detect_races, run_lints, LintKind};
-use cool_sim::{AffinitySpec, MachineConfig, SimConfig, SimRuntime, Task};
+use cool_sim::{AffinitySpec, MachineConfig, SimConfig, SimRuntime, Task, Topology};
 use proptest::prelude::*;
 
 /// A small flat machine (one processor per cluster, so every processor has
 /// its own memory node and migration visibly changes an object's home).
 fn flat_rt(nprocs: usize) -> SimRuntime {
-    let mut m = MachineConfig::dash_small(nprocs);
-    m.procs_per_cluster = 1;
+    let m = MachineConfig {
+        topology: Topology::flat(nprocs),
+        ..MachineConfig::dash_small(nprocs)
+    };
     SimRuntime::new(SimConfig::new(m).with_events())
 }
 

@@ -72,6 +72,6 @@ pub use task::{Task, TaskCtx};
 
 pub use cool_core::{
     AccessKind, AffinitySpec, Event, EventLog, FaultPlan, ObjRef, ProcId, Recording, StealPolicy,
-    TaskUid,
+    TaskUid, Topology,
 };
 pub use dash_sim::{MachineConfig, MissBreakdown};

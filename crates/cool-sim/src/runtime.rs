@@ -209,7 +209,6 @@ struct SimTask {
 pub struct SimRuntime {
     cfg: SimConfig,
     machine: Machine,
-    topology: Topology,
     /// Precomputed per-thief victim orders with common-ancestor levels
     /// (`steal_order` allocated on the idle/steal hot path).
     victims: VictimOrders,
@@ -255,7 +254,8 @@ pub struct SimRuntime {
 impl SimRuntime {
     /// Build a cold runtime (cold caches, empty queues, zero clocks).
     pub fn new(cfg: SimConfig) -> Self {
-        let n = cfg.machine.nprocs;
+        let topology = cfg.machine.topology;
+        let n = topology.nservers;
         let mut machine = Machine::new(cfg.machine);
         if cfg.check_coherence {
             machine.enable_checked();
@@ -263,12 +263,10 @@ impl SimRuntime {
         if cfg.rebalance.is_some() {
             machine.enable_traffic();
         }
-        let topology = cfg.machine.topology();
         let clocks = vec![0; n];
         SimRuntime {
             machine,
-            topology: cfg.machine.topology(),
-            victims: cfg.machine.topology().victim_orders(),
+            victims: topology.victim_orders(),
             queues: BusyQueues::new(n, cfg.affinity_slots),
             tasks: Slab::new(),
             next_actor: NextActor::new(&clocks),
@@ -331,12 +329,12 @@ impl SimRuntime {
 
     /// Number of servers (= processors).
     pub fn nservers(&self) -> usize {
-        self.topology.nservers
+        self.cfg.machine.topology.nservers
     }
 
-    /// The scheduler topology.
+    /// The scheduler topology: the simulated machine's tree.
     pub fn topology(&self) -> Topology {
-        self.topology
+        self.cfg.machine.topology
     }
 
     /// The simulated machine (for setup-time allocation etc.).
@@ -389,7 +387,7 @@ impl SimRuntime {
             coherence_transitions: self.machine.transitions_checked(),
             coherence_violations: self.machine.violation_count(),
             contention: self.machine.contention_stats(),
-            topology: self.topology,
+            topology: self.topology(),
         }
     }
 
@@ -411,7 +409,7 @@ impl SimRuntime {
         let spec = task.affinity;
         let hinted = spec.is_hinted();
         let machine = &self.machine;
-        let target = spec.resolve_server(self.topology.nservers, creator, |o| {
+        let target = spec.resolve_server(self.nservers(), creator, |o| {
             machine.home_proc(o)
         });
         let kind = spec.kind();
@@ -805,7 +803,7 @@ impl SimRuntime {
     fn rebalance_pages(&mut self) {
         let Some(rb) = self.cfg.rebalance else { return };
         let mcfg = &self.cfg.machine;
-        let nclusters = mcfg.nclusters();
+        let nclusters = mcfg.topology.nclusters();
         let page_bytes = self.machine.space().page_bytes();
         // Decide first (immutable scan), then apply: the borrow of the
         // traffic table cannot overlap the migrations.
@@ -882,7 +880,7 @@ impl SimRuntime {
         }
         let queues = &mut self.queues;
         let scan = self.cfg.policy.scan(
-            &self.topology,
+            &self.cfg.machine.topology,
             self.victims.order(p),
             &mut self.failed_scans[pi],
             self.feedback.as_mut(),

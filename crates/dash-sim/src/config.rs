@@ -1,79 +1,15 @@
 //! Machine configuration, defaulting to the Stanford DASH prototype used in
 //! Section 6 of the paper.
+//!
+//! The machine's shape is the scheduler's own [`Topology`]: the DASH
+//! prototype is the 1-level tree (clusters of 4 under the root), a deeper
+//! machine nests more levels, and the tree's memory level is the cluster
+//! that owns a memory node. Cluster, distance and interconnect-link
+//! arithmetic all read that one tree.
 
 use cool_core::{ClusterId, NodeId, ProcId, Topology, MAX_TOPO_LEVELS};
 
 use crate::engine::ContentionConfig;
-
-/// An N-level machine tree layered on top of the classic cluster model.
-///
-/// The classic [`MachineConfig`] is 2-level: processors grouped into
-/// clusters, one memory node per cluster, a single uniform remote latency.
-/// A `DeepTopology` describes deeper machines — e.g. SMT pair → chiplet →
-/// socket — with a per-level latency table. Level sizes are innermost-first
-/// and nest (each divides the next); `mem_level` designates the level whose
-/// domains own a memory node, and must agree with
-/// [`MachineConfig::procs_per_cluster`] so the directory/page machinery is
-/// untouched. Crossing `d` levels above the memory level costs
-/// `remote_lat[d - 1]` cycles, replacing the single
-/// [`Latencies::remote_mem`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeepTopology {
-    /// Domain sizes per explicit level, innermost first; unused entries 1.
-    pub levels: [usize; MAX_TOPO_LEVELS],
-    /// Explicit levels in use.
-    pub nlevels: u8,
-    /// The level whose domains each own a memory node (the cluster level).
-    pub mem_level: u8,
-    /// Base miss latency by distance: `remote_lat[d - 1]` for a miss
-    /// serviced `d` levels above the memory level (entries past the root
-    /// are unused).
-    pub remote_lat: [u64; MAX_TOPO_LEVELS],
-}
-
-impl DeepTopology {
-    /// Build and validate a machine tree. `remote_lat` must supply one
-    /// latency per level above the memory level (up to and including the
-    /// machine root).
-    pub fn new(level_sizes: &[usize], mem_level: usize, remote_lat: &[u64]) -> Self {
-        assert!(
-            !level_sizes.is_empty() && level_sizes.len() <= MAX_TOPO_LEVELS,
-            "1..={MAX_TOPO_LEVELS} levels"
-        );
-        assert!(mem_level < level_sizes.len(), "mem_level out of range");
-        let distances = level_sizes.len() - mem_level;
-        assert_eq!(
-            remote_lat.len(),
-            distances,
-            "need one remote latency per level above the memory level \
-             (incl. the root): {distances}"
-        );
-        let mut levels = [1usize; MAX_TOPO_LEVELS];
-        for (l, &s) in level_sizes.iter().enumerate() {
-            assert!(s > 0);
-            if l > 0 {
-                assert!(
-                    s > level_sizes[l - 1] && s % level_sizes[l - 1] == 0,
-                    "level sizes must strictly increase and nest"
-                );
-            }
-            levels[l] = s;
-        }
-        let mut lat = [0u64; MAX_TOPO_LEVELS];
-        lat[..remote_lat.len()].copy_from_slice(remote_lat);
-        DeepTopology {
-            levels,
-            nlevels: level_sizes.len() as u8,
-            mem_level: mem_level as u8,
-            remote_lat: lat,
-        }
-    }
-
-    /// The level sizes actually in use, innermost first.
-    pub fn level_sizes(&self) -> &[usize] {
-        &self.levels[..self.nlevels as usize]
-    }
-}
 
 /// Parameters of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,7 +49,8 @@ pub struct Latencies {
     pub l2_hit: u64,
     /// Miss serviced by the local cluster memory.
     pub local_mem: u64,
-    /// Miss serviced by a remote cluster's memory (or a remote dirty cache).
+    /// Miss serviced by a remote cluster's memory (or a remote dirty cache),
+    /// at any distance unless [`MachineConfig::remote_lat`] is set.
     pub remote_mem: u64,
     /// Extra cycles when a miss must be serviced by another cache that holds
     /// the line dirty (three-hop transaction on DASH).
@@ -141,10 +78,9 @@ pub const PAGE_MIGRATE_COST: u64 = 2000;
 /// Full machine configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
-    /// Number of processors.
-    pub nprocs: usize,
-    /// Processors per cluster; each cluster holds one memory node.
-    pub procs_per_cluster: usize,
+    /// The machine tree: one server per processor, and the memory level's
+    /// domains are the clusters, each owning one memory node.
+    pub topology: Topology,
     /// First-level cache (64 KB on DASH).
     pub l1: CacheConfig,
     /// Second-level cache (256 KB on DASH).
@@ -168,11 +104,11 @@ pub struct MachineConfig {
     /// hops, with service times and FIFO queueing in issue order,
     /// superseding `mem_occupancy`.
     pub contention: Option<ContentionConfig>,
-    /// N-level machine tree (see [`DeepTopology`]). `None` is the classic
-    /// 2-level cluster machine — every existing configuration — and keeps
-    /// simulated cycles and fingerprints byte-identical. `Some` generalizes
-    /// remote-miss latencies and interconnect routing to the tree.
-    pub deep: Option<DeepTopology>,
+    /// Base miss latency by distance: `remote_lat[d - 1]` for a miss
+    /// serviced `d` levels above the memory level (entries past the root
+    /// are unused). `None` charges [`Latencies::remote_mem`] at every
+    /// distance, as on DASH.
+    pub remote_lat: Option<[u64; MAX_TOPO_LEVELS]>,
 }
 
 impl MachineConfig {
@@ -180,8 +116,7 @@ impl MachineConfig {
     /// direct-mapped caches with 16-byte lines.
     pub fn dash(nprocs: usize) -> Self {
         MachineConfig {
-            nprocs,
-            procs_per_cluster: 4,
+            topology: Topology::clustered(nprocs, 4),
             l1: CacheConfig {
                 size_bytes: 64 * 1024,
                 line_bytes: 16,
@@ -196,7 +131,7 @@ impl MachineConfig {
             page_bytes: 4096,
             mem_occupancy: 3,
             contention: None,
-            deep: None,
+            remote_lat: None,
         }
     }
 
@@ -206,27 +141,17 @@ impl MachineConfig {
         self
     }
 
-    /// Install an N-level machine tree (builder style). Keeps
-    /// `procs_per_cluster` consistent with the tree's memory level so the
-    /// page/directory machinery and the tree agree on what a cluster is.
-    pub fn with_deep(mut self, t: DeepTopology) -> Self {
-        self.procs_per_cluster = t.levels[t.mem_level as usize];
-        self.deep = Some(t);
-        self
-    }
-
-    /// A modern-shaped deep machine at DASH cache geometry: SMT pairs →
-    /// 8-processor chiplets (each owning a memory node) → 32-processor
-    /// sockets. Crossing chiplets within a socket costs 100 cycles,
-    /// crossing sockets 180 — bracketing the paper's 100–150-cycle remote
-    /// band around the depth of the crossing.
-    pub fn deep(nprocs: usize) -> Self {
-        Self::dash(nprocs).with_deep(DeepTopology::new(&[2, 8, 32], 1, &[100, 180]))
-    }
-
-    /// The deep machine at `dash_small` cache geometry (fast tests/sweeps).
+    /// A modern-shaped deep machine at `dash_small` cache geometry: SMT
+    /// pairs → 8-processor chiplets (each owning a memory node) →
+    /// 32-processor sockets. Crossing chiplets within a socket costs 100
+    /// cycles, crossing sockets 180 — bracketing the paper's
+    /// 100–150-cycle remote band around the depth of the crossing.
     pub fn deep_small(nprocs: usize) -> Self {
-        Self::dash_small(nprocs).with_deep(DeepTopology::new(&[2, 8, 32], 1, &[100, 180]))
+        MachineConfig {
+            topology: Topology::tree(nprocs, &[2, 8, 32], 1),
+            remote_lat: Some([100, 180, 0, 0]),
+            ..Self::dash_small(nprocs)
+        }
     }
 
     /// A scaled-down DASH for fast tests: small caches magnify locality
@@ -255,14 +180,15 @@ impl MachineConfig {
     /// fingerprints produce identical simulations, and any parameter change
     /// changes the string.
     pub fn fingerprint(&self) -> String {
+        let t = &self.topology;
         let ctn = match &self.contention {
             None => "off".to_string(),
             Some(c) => c.fingerprint(),
         };
         let mut s = format!(
             "p{}x{} l1={}/{}/{} l2={}/{}/{} lat={}/{}/{}/{}/{} pg={} do={} mig={} occ={} ctn={}",
-            self.nprocs,
-            self.procs_per_cluster,
+            t.nservers,
+            t.procs_per_cluster(),
             self.l1.size_bytes,
             self.l1.line_bytes,
             self.l1.assoc,
@@ -280,128 +206,81 @@ impl MachineConfig {
             self.mem_occupancy,
             ctn,
         );
-        if let Some(t) = &self.deep {
-            // Appended only for deep machines: classic 2-level fingerprints
-            // stay byte-identical to the epoch-2 baselines, and a deep
-            // machine's config string always differs from a classic one's.
+        // Appended only past the 1-level tree and the uniform latency: the
+        // DASH fingerprints stay byte-identical to the epoch-2 baselines,
+        // and no other machine shares one with them.
+        if t.nlevels() > 1 {
             let sizes: Vec<String> = t.level_sizes().iter().map(|s| s.to_string()).collect();
-            let lats: Vec<String> = t.remote_lat[..t.nlevels as usize - t.mem_level as usize]
+            s.push_str(&format!(" tree={}@{}", sizes.join("x"), t.mem_level()));
+        }
+        if let Some(lat) = &self.remote_lat {
+            let lats: Vec<String> = lat[..t.nlevels() - t.mem_level()]
                 .iter()
                 .map(|l| l.to_string())
                 .collect();
-            s.push_str(&format!(
-                " tree={}@{} rlat={}",
-                sizes.join("x"),
-                t.mem_level,
-                lats.join("/")
-            ));
+            s.push_str(&format!(" rlat={}", lats.join("/")));
         }
         s
-    }
-
-    /// Scheduler-facing topology.
-    pub fn topology(&self) -> Topology {
-        match &self.deep {
-            None => Topology::clustered(self.nprocs, self.procs_per_cluster),
-            Some(t) => Topology::tree(self.nprocs, t.level_sizes(), t.mem_level as usize),
-        }
-    }
-
-    /// Number of clusters / memory nodes.
-    pub fn nclusters(&self) -> usize {
-        self.nprocs.div_ceil(self.procs_per_cluster)
-    }
-
-    /// The cluster (= memory node) of a processor.
-    #[inline]
-    pub fn cluster_of(&self, p: ProcId) -> ClusterId {
-        ClusterId(p.index() / self.procs_per_cluster)
     }
 
     /// The memory node local to a processor.
     #[inline]
     pub fn node_of(&self, p: ProcId) -> NodeId {
-        NodeId(self.cluster_of(p).index())
+        NodeId(self.topology.cluster_of(p).index())
     }
 
     /// A representative processor for a memory node (the first in its
     /// cluster) — used to turn `home(obj)` into a server choice.
     #[inline]
     pub fn proc_of_node(&self, n: NodeId) -> ProcId {
-        ProcId(n.index() * self.procs_per_cluster)
+        ProcId(n.index() * self.topology.procs_per_cluster())
     }
 
     /// Topology distance between two clusters: 0 when equal, otherwise the
     /// number of levels above the memory level of their nearest common
-    /// ancestor. On a classic machine every remote cluster is at distance 1.
+    /// ancestor. On the 1-level DASH tree every remote cluster is at
+    /// distance 1.
     #[inline]
     pub fn cluster_distance(&self, a: ClusterId, b: ClusterId) -> usize {
-        if a == b {
-            return 0;
-        }
-        match &self.deep {
-            None => 1,
-            Some(t) => {
-                let (nl, ml) = (t.nlevels as usize, t.mem_level as usize);
-                let pa = a.index() * self.procs_per_cluster;
-                let pb = b.index() * self.procs_per_cluster;
-                for l in ml + 1..nl {
-                    if pa / t.levels[l] == pb / t.levels[l] {
-                        return l - ml;
-                    }
-                }
-                nl - ml
-            }
-        }
+        let first = |c: ClusterId| self.proc_of_node(NodeId(c.index()));
+        let level = self.topology.common_level(first(a), first(b));
+        level.saturating_sub(self.topology.mem_level())
     }
 
     /// Base miss latency for a supplier at `cluster_distance` `d`: the local
-    /// memory at 0; on a classic machine the uniform `remote_mem` beyond,
-    /// on a deep machine the per-level `remote_lat` table.
+    /// memory at 0; beyond it `remote_lat[d - 1]`, or the uniform
+    /// `remote_mem` without a table.
     #[inline]
     pub fn mem_latency(&self, d: usize) -> u64 {
-        if d == 0 {
-            return self.lat.local_mem;
-        }
-        match &self.deep {
-            None => self.lat.remote_mem,
-            Some(t) => t.remote_lat[d - 1],
+        match (d, &self.remote_lat) {
+            (0, _) => self.lat.local_mem,
+            (_, None) => self.lat.remote_mem,
+            (_, Some(lat)) => lat[d - 1],
         }
     }
 
     /// Number of interconnect-link resources the contention engine models:
-    /// one per cluster, plus — on a deep machine — one per domain of every
-    /// level strictly between the memory level and the root (the root itself
-    /// has no link; a root crossing rides the lower-level links of the home
-    /// side, which on a classic machine degenerates to exactly the home
-    /// cluster's link).
+    /// one per domain of every level from the memory level up to, not
+    /// including, the root. A root crossing rides the lower-level links of
+    /// the home side, so the 1-level DASH tree has exactly one link per
+    /// cluster.
     pub fn nnet(&self) -> usize {
-        let mut n = self.nclusters();
-        if let Some(t) = &self.deep {
-            for l in t.mem_level as usize + 1..t.nlevels as usize {
-                n += self.nprocs.div_ceil(t.levels[l]);
-            }
-        }
-        n
+        self.net_base(self.topology.nlevels())
     }
 
-    /// First net-resource index of explicit level `l`'s domain links
-    /// (deep machines only; level `mem_level` maps to the per-cluster links
-    /// at index 0).
+    /// First net-resource index of level `l`'s domain links (the memory
+    /// level's per-cluster links start at 0).
     fn net_base(&self, l: usize) -> usize {
-        let t = self.deep.as_ref().expect("net_base on a classic machine");
-        let mut base = self.nclusters();
-        for j in t.mem_level as usize + 1..l {
-            base += self.nprocs.div_ceil(t.levels[j]);
-        }
-        base
+        (self.topology.mem_level()..l)
+            .map(|j| self.topology.ndomains(j))
+            .sum()
     }
 
     /// The net-resource indices a transaction traverses crossing from
     /// cluster `from` to cluster `to`, home-side outermost link first and
     /// the home cluster's own link last; empty when the clusters are equal.
-    /// On a classic machine a crossing is exactly the home cluster's link,
-    /// preserving the original hop chain byte-for-byte.
+    /// On the 1-level DASH tree a crossing is exactly the home cluster's
+    /// link.
     pub fn net_path(&self, from: ClusterId, to: ClusterId, buf: &mut [usize; MAX_TOPO_LEVELS]) -> usize {
         self.net_path_at(self.cluster_distance(from, to), to, buf)
     }
@@ -416,18 +295,13 @@ impl MachineConfig {
         if d == 0 {
             return 0;
         }
-        let mut n = 0;
-        if let Some(t) = &self.deep {
-            let ml = t.mem_level as usize;
-            let pb = to.index() * self.procs_per_cluster;
-            for k in (1..d).rev() {
-                let l = ml + k;
-                buf[n] = self.net_base(l) + pb / t.levels[l];
-                n += 1;
-            }
+        let ml = self.topology.mem_level();
+        let pb = self.proc_of_node(NodeId(to.index()));
+        for (n, k) in (1..d).rev().enumerate() {
+            buf[n] = self.net_base(ml + k) + self.topology.domain_of(pb, ml + k);
         }
-        buf[n] = to.index();
-        n + 1
+        buf[d - 1] = to.index();
+        d
     }
 }
 
@@ -438,7 +312,7 @@ mod tests {
     #[test]
     fn dash_defaults_match_the_paper() {
         let c = MachineConfig::dash(32);
-        assert_eq!(c.nclusters(), 8);
+        assert_eq!(c.topology.nclusters(), 8);
         assert_eq!(c.l1.size_bytes, 64 * 1024);
         assert_eq!(c.l2.size_bytes, 256 * 1024);
         assert_eq!(c.lat.l1_hit, 1);

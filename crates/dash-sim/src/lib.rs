@@ -8,6 +8,9 @@
 //! exists, so this crate simulates it:
 //!
 //! * [`config`] — machine parameters, defaulting to the DASH prototype.
+//!   The machine's shape is the schedulers' own `cool_core::Topology`:
+//!   DASH is the 1-level tree of 4-processor clusters, and deeper machines
+//!   nest more levels above or below the clusters.
 //! * [`cache`] — set-associative LRU caches.
 //! * [`space`] — the simulated shared address space: page-granular homes,
 //!   placement-aware allocation (`new` with a processor argument), `migrate`,
@@ -70,7 +73,7 @@ mod equiv_tests;
 mod oracle;
 
 pub use check::{explore_protocol, CoherenceViolation, ProtoStats};
-pub use config::{CacheConfig, DeepTopology, Latencies, MachineConfig};
+pub use config::{CacheConfig, Latencies, MachineConfig};
 pub use engine::{ContentionConfig, ContentionStats, Engine, Resource, ResourceStats};
 pub use machine::{Machine, PageTraffic};
 pub use monitor::{MissBreakdown, PerfMonitor, ProcCounters};

@@ -134,7 +134,8 @@ pub struct Machine {
     engine: Option<Engine>,
     /// Per-processor last-line/last-page lookaside (see [`Lookaside`]).
     lookaside: Vec<Lookaside>,
-    /// `cfg.cluster_of(p)` at index `p`, so the miss path divides nothing.
+    /// `cfg.topology.cluster_of(p)` at index `p`, so the miss path divides
+    /// nothing.
     cluster_of: Vec<ClusterId>,
     /// `cfg.cluster_distance(a, b)` at index `a * nclusters + b`.
     distance: Vec<u8>,
@@ -156,15 +157,18 @@ pub struct Machine {
 impl Machine {
     /// Build a cold machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!((1..=MAX_PROCS).contains(&cfg.nprocs), "1..=64 processors");
-        if let Some(t) = &cfg.deep {
-            assert_eq!(
-                cfg.procs_per_cluster, t.levels[t.mem_level as usize],
-                "procs_per_cluster must match the deep tree's memory level"
+        let topo = cfg.topology;
+        let nprocs = topo.nservers;
+        assert!((1..=MAX_PROCS).contains(&nprocs), "1..=64 processors");
+        if let Some(lat) = &cfg.remote_lat {
+            let distances = topo.nlevels() - topo.mem_level();
+            assert!(
+                lat[..distances].iter().all(|&l| l > 0),
+                "remote_lat needs a latency for each of the {distances} distances"
             );
         }
-        let caches = (0..cfg.nprocs).map(|_| ProcCache::new(cfg.l1, cfg.l2)).collect();
-        let nclusters = cfg.nclusters();
+        let caches = (0..nprocs).map(|_| ProcCache::new(cfg.l1, cfg.l2)).collect();
+        let nclusters = topo.nclusters();
         let distance = (0..nclusters * nclusters)
             .map(|i| cfg.cluster_distance(ClusterId(i / nclusters), ClusterId(i % nclusters)))
             .map(|d| u8::try_from(d).expect("tree depth fits u8"))
@@ -173,17 +177,17 @@ impl Machine {
             caches,
             space: AddressSpace::with_procs_per_node(
                 cfg.page_bytes,
-                cfg.nclusters(),
-                cfg.procs_per_cluster,
+                nclusters,
+                topo.procs_per_cluster(),
             ),
             dir: Directory::new(),
-            mon: PerfMonitor::new(cfg.nprocs),
-            node_busy: vec![0; cfg.nclusters()],
+            mon: PerfMonitor::new(nprocs),
+            node_busy: vec![0; nclusters],
             engine: cfg
                 .contention
-                .map(|c| Engine::with_nets(c, cfg.nclusters(), cfg.nnet())),
-            lookaside: vec![Lookaside::EMPTY; cfg.nprocs],
-            cluster_of: (0..cfg.nprocs).map(|p| cfg.cluster_of(ProcId(p))).collect(),
+                .map(|c| Engine::with_nets(c, nclusters, cfg.nnet())),
+            lookaside: vec![Lookaside::EMPTY; nprocs],
+            cluster_of: (0..nprocs).map(|p| topo.cluster_of(ProcId(p))).collect(),
             distance,
             nclusters,
             line_shift: if cfg.l1.line_bytes.is_power_of_two() {
@@ -238,14 +242,14 @@ impl Machine {
 
     /// `new (n) T`: allocate in the local memory of processor `n % nprocs`.
     pub fn alloc_on_proc(&mut self, n: usize, bytes: u64) -> ObjRef {
-        let p = ProcId(n % self.cfg.nprocs);
+        let p = ProcId(n % self.cfg.topology.nservers);
         let node = self.cfg.node_of(p);
         self.space.alloc_placed(bytes, node, p)
     }
 
     /// Allocate directly on a memory node (owned by its first processor).
     pub fn alloc_on_node(&mut self, node: NodeId, bytes: u64) -> ObjRef {
-        let node = NodeId(node.index() % self.cfg.nclusters());
+        let node = NodeId(node.index() % self.nclusters);
         let p = self.cfg.proc_of_node(node);
         self.space.alloc_placed(bytes, node, p)
     }
@@ -279,7 +283,7 @@ impl Machine {
     /// discarded machine-wide (the physical address changed). Returns the
     /// cycle cost to charge the calling processor.
     pub fn migrate_to_proc(&mut self, obj: ObjRef, bytes: u64, n: usize) -> u64 {
-        let p = ProcId(n % self.cfg.nprocs);
+        let p = ProcId(n % self.cfg.topology.nservers);
         let node = self.cfg.node_of(p);
         self.migrate_placed(obj, bytes, node, p)
     }
@@ -287,7 +291,7 @@ impl Machine {
     /// `migrate()` targeting a memory node directly (owned by its first
     /// processor).
     pub fn migrate_to_node(&mut self, obj: ObjRef, bytes: u64, node: NodeId) -> u64 {
-        let node = NodeId(node.index() % self.cfg.nclusters());
+        let node = NodeId(node.index() % self.nclusters);
         let p = self.cfg.proc_of_node(node);
         self.migrate_placed(obj, bytes, node, p)
     }
@@ -603,8 +607,8 @@ impl Machine {
             cool_core::ClusterId(self.space.home(ObjRef(addr)).index())
         };
         // Distance 0 is the local cluster; beyond it the per-level latency
-        // table applies (a classic machine has the single uniform distance 1,
-        // charging exactly `remote_mem` as before).
+        // table applies (the 1-level DASH tree has the single uniform
+        // distance 1, charging exactly `remote_mem` as before).
         let dist = self.distance(my_cluster, supplier_cluster);
         let local = dist == 0;
         let mut cycles = self.cfg.mem_latency(dist);
@@ -670,8 +674,8 @@ impl Machine {
     /// interconnect links toward the line's home, the home directory, then
     /// the home memory module — or, when `owner`'s cluster holds the line
     /// dirty, the links from the home toward it and its bus (three-hop).
-    /// On a classic machine a remote crossing is exactly one hop, at the
-    /// far cluster's link; on a deep machine it descends that side's
+    /// On the 1-level DASH tree a remote crossing is exactly one hop, at
+    /// the far cluster's link; on a deeper tree it descends that side's
     /// domain links.
     fn contend(&mut self, rc: ClusterId, line: u64, owner: Option<ClusterId>, now: u64) -> u64 {
         let home = ClusterId(self.space.home(ObjRef(line * self.cfg.l1.line_bytes)).index());
@@ -712,7 +716,7 @@ impl Machine {
     /// observer-pure: enabling them never changes any reference's cost.
     pub fn enable_traffic(&mut self) {
         if self.traffic.is_none() {
-            self.traffic = Some(PageTraffic::new(self.cfg.nclusters()));
+            self.traffic = Some(PageTraffic::new(self.nclusters));
         }
     }
 
@@ -799,7 +803,7 @@ impl Machine {
                     detail: format!("dirty owner {o} with sharer bitmap {sharers:#b}"),
                 });
             }
-            for q in 0..self.cfg.nprocs {
+            for q in 0..self.cfg.topology.nservers {
                 if q != o && self.caches[q].contains(line) {
                     out.push(CoherenceViolation {
                         invariant: "lost-invalidation",
@@ -929,7 +933,7 @@ impl Machine {
     /// writes. Fires `lookaside` (and models a stale downgrade).
     #[doc(hidden)]
     pub fn defect_force_lookaside(&mut self, p: usize, line: u64, write_ok: bool) {
-        self.lookaside[p.min(self.cfg.nprocs - 1)] = Lookaside {
+        self.lookaside[p.min(self.cfg.topology.nservers - 1)] = Lookaside {
             line,
             page: (line * self.cfg.l1.line_bytes) >> self.page_shift,
             write_ok,
@@ -1384,15 +1388,26 @@ mod tests {
             MachineConfig::deep_small(44),
         ] {
             let m = Machine::new(cfg);
-            for p in 0..cfg.nprocs {
-                assert_eq!(m.cluster_of[p], cfg.cluster_of(ProcId(p)), "proc {p}");
+            let topo = cfg.topology;
+            for p in 0..topo.nservers {
+                assert_eq!(m.cluster_of[p], topo.cluster_of(ProcId(p)), "proc {p}");
             }
-            for a in (0..cfg.nclusters()).map(ClusterId) {
-                for b in (0..cfg.nclusters()).map(ClusterId) {
+            for a in (0..topo.nclusters()).map(ClusterId) {
+                for b in (0..topo.nclusters()).map(ClusterId) {
                     assert_eq!(m.distance(a, b), cfg.cluster_distance(a, b), "{a:?}->{b:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "remote_lat needs a latency for each of the 2 distances")]
+    fn a_latency_table_must_cover_every_distance() {
+        // The 3-level tree has distances 1 and 2 above its memory level.
+        Machine::new(MachineConfig {
+            remote_lat: Some([100, 0, 0, 0]),
+            ..MachineConfig::deep_small(64)
+        });
     }
 
     fn contended_machine(nprocs: usize) -> Machine {

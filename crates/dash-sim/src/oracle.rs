@@ -214,19 +214,19 @@ pub struct OracleMachine {
 
 impl OracleMachine {
     pub fn new(cfg: MachineConfig) -> Self {
-        let caches = (0..cfg.nprocs)
+        let caches = (0..cfg.topology.nservers)
             .map(|_| OldProcCache::new(cfg.l1, cfg.l2))
             .collect();
         OracleMachine {
             caches,
             space: AddressSpace::with_procs_per_node(
                 cfg.page_bytes,
-                cfg.nclusters(),
-                cfg.procs_per_cluster,
+                cfg.topology.nclusters(),
+                cfg.topology.procs_per_cluster(),
             ),
             dir: OldDirectory::default(),
-            mon: PerfMonitor::new(cfg.nprocs),
-            node_busy: vec![0; cfg.nclusters()],
+            mon: PerfMonitor::new(cfg.topology.nservers),
+            node_busy: vec![0; cfg.topology.nclusters()],
             cfg,
         }
     }
@@ -264,7 +264,7 @@ impl OracleMachine {
     }
 
     pub fn alloc_on_node(&mut self, node: NodeId, bytes: u64) -> ObjRef {
-        let node = NodeId(node.index() % self.cfg.nclusters());
+        let node = NodeId(node.index() % self.cfg.topology.nclusters());
         let p = self.cfg.proc_of_node(node);
         self.space.alloc_placed(bytes, node, p)
     }
@@ -278,7 +278,7 @@ impl OracleMachine {
     }
 
     pub fn migrate_to_proc(&mut self, obj: ObjRef, bytes: u64, n: usize) -> u64 {
-        let p = ProcId(n % self.cfg.nprocs);
+        let p = ProcId(n % self.cfg.topology.nservers);
         let node = self.cfg.node_of(p);
         self.migrate_placed(obj, bytes, node, p)
     }
@@ -437,9 +437,10 @@ impl OracleMachine {
         now: u64,
     ) -> u64 {
         let pi = p.index();
-        let my_cluster = self.cfg.cluster_of(p);
+        let my_cluster = self.cfg.topology.cluster_of(p);
         let supplier_cluster = if from_dirty {
             self.cfg
+                .topology
                 .cluster_of(ProcId(dirty_owner.expect("dirty service implies owner")))
         } else {
             let addr = line * self.cfg.l1.line_bytes;

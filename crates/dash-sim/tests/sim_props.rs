@@ -109,7 +109,7 @@ proptest! {
         let mut m = Machine::new(MachineConfig::dash_small(8));
         let page = m.config().page_bytes;
         let obj = m.alloc_on_node(NodeId(0), 4 * page);
-        let nnodes = m.config().nclusters();
+        let nnodes = m.config().topology.nclusters();
         let mut homes = [0usize; 4];
         for (pg, node) in moves {
             let node = node % nnodes;

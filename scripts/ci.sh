@@ -20,6 +20,15 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Examples gate: the README and the verify notes tell users to run the
+# examples, and `cargo test` only compiles them. Six of them assert their
+# numeric results (legal routes, factorizations and grids within
+# tolerance), so build them once in release and run each one.
+run cargo build --release --offline --examples
+for example in examples/*.rs; do
+    run "target/release/examples/$(basename "$example" .rs)"
+done
+
 # Benchmark build gate: the ledger benchmark is its own package over the
 # workspace crates, so a crate API change that breaks it fails here rather
 # than in a benchmark run.

@@ -5,11 +5,13 @@
 //! EXPERIMENTS.md.
 
 use cool_repro::apps::{self, Version};
-use cool_repro::cool_sim::{MachineConfig, SimConfig};
+use cool_repro::cool_sim::{MachineConfig, SimConfig, Topology};
 
 fn flat(nprocs: usize, v: Version) -> SimConfig {
-    let mut m = MachineConfig::dash_small(nprocs);
-    m.procs_per_cluster = 1;
+    let m = MachineConfig {
+        topology: Topology::flat(nprocs),
+        ..MachineConfig::dash_small(nprocs)
+    };
     SimConfig::new(m).with_policy(v.policy())
 }
 

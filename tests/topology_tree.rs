@@ -42,6 +42,31 @@ fn deep_fingerprint_extends_the_classic_one() {
     );
 }
 
+/// One machine shape: a tree deeper than DASH's prints its segment even
+/// without a latency table. Its inner pairs change the steal orders, so it
+/// must never share a config string with the plain machine of the same
+/// size and cluster width.
+#[test]
+fn a_tree_without_a_latency_table_fingerprints_apart_from_dash() {
+    let dash = MachineConfig::dash_small(8);
+    let tree = MachineConfig {
+        topology: Topology::tree(8, &[2, 4], 1),
+        ..dash
+    };
+    assert_eq!(tree.remote_lat, None);
+    assert_eq!(
+        tree.topology.procs_per_cluster(),
+        dash.topology.procs_per_cluster()
+    );
+    let fingerprint = tree.fingerprint();
+    assert_ne!(fingerprint, dash.fingerprint());
+    assert!(fingerprint.ends_with("ctn=off tree=2x4@1"), "{fingerprint}");
+    assert_ne!(
+        SimConfig::new(tree).fingerprint(),
+        SimConfig::new(dash).fingerprint()
+    );
+}
+
 /// Deep-machine distance helpers on a ragged 48-processor machine (one and
 /// a half 32-processor sockets): resource indexing must bin every cluster
 /// and socket domain without panicking or aliasing.
@@ -49,7 +74,7 @@ fn deep_fingerprint_extends_the_classic_one() {
 fn ragged_socket_distance_and_net_indexing() {
     let m = MachineConfig::deep_small(48);
     // 6 clusters of 8, plus div_ceil(48, 32) = 2 socket-level links.
-    assert_eq!(m.nclusters(), 6);
+    assert_eq!(m.topology.nclusters(), 6);
     assert_eq!(m.nnet(), 8);
     // Clusters 0-3 fill socket 0; clusters 4-5 are the ragged socket 1.
     assert_eq!(m.cluster_distance(ClusterId(4), ClusterId(4)), 0);
@@ -73,7 +98,7 @@ fn ragged_socket_distance_and_net_indexing() {
 /// in the (possibly partial) last cluster so its memory, directory and
 /// network resources all get exercised.
 fn run_hoarded(machine: MachineConfig) -> cool_sim::RunReport {
-    let nprocs = machine.nprocs;
+    let nprocs = machine.topology.nservers;
     let mut cfg = SimConfig::new(machine.with_contention(ContentionConfig::dash()));
     cfg.policy = cool_core::StealPolicy::default();
     let mut rt = SimRuntime::new(cfg);
